@@ -29,6 +29,7 @@ from repro.mdhf.routing import QueryPlan, plan_query
 from repro.mdhf.spec import Fragmentation
 from repro.schema.fact import StarSchema
 from repro.sim.config import SimulationParameters
+from repro.sim.disk import ExtentTemplate
 
 
 @dataclass(slots=True)
@@ -108,10 +109,14 @@ class SubqueryWork:
 def batch_extents(
     extents: list[tuple[int, int]], coalesce: int
 ) -> list[tuple[list[tuple[int, int]], int]]:
-    """Group an extent list into ``io_coalesce`` disk-request batches."""
+    """Group an extent list into ``io_coalesce`` disk-request batches.
+
+    Each batch is an :class:`~repro.sim.disk.ExtentTemplate`, so the
+    disk prepares its pricing tail once however many requests share it.
+    """
     batches = []
     for index in range(0, len(extents), coalesce):
-        batch = extents[index : index + coalesce]
+        batch = ExtentTemplate(extents[index : index + coalesce])
         batches.append((batch, sum(pages for _, pages in batch)))
     return batches
 
@@ -315,8 +320,10 @@ class SimulatedDatabase:
         fact_disks, fact_starts = allocation.fact_locations(fragment_ids)
         bitmap_pages_per_fragment = allocation.bitmap_pages_per_fragment
         bitmap_granule = self._bitmap_granule()
-        bitmap_template = self._sequential_extents(
-            0, bitmap_pages_per_fragment, bitmap_granule
+        bitmap_template = ExtentTemplate(
+            self._sequential_extents(
+                0, bitmap_pages_per_fragment, bitmap_granule
+            )
         )
         bitmap_pages_total = n_bitmaps * bitmap_pages_per_fragment
         if n_bitmaps:
@@ -462,8 +469,8 @@ class SimulatedDatabase:
             granule = buffer.prefetch_bitmap_pages
             if buffer.adaptive_bitmap_prefetch:
                 granule = max(1, min(granule, math.ceil(raw_pages)))
-            extents_b = self._sequential_extents(
-                0, fragment_bitmap_pages, granule
+            extents_b = ExtentTemplate(
+                self._sequential_extents(0, fragment_bitmap_pages, granule)
             )
 
         return (
@@ -549,12 +556,16 @@ class SimulatedDatabase:
         consecutive pages and read as one extent — the paper's remedy
         for bitmap fragments below one page (Section 6.3).
 
-        Per-fragment extent templates (identical to the uniform path's)
-        are assembled into per-cluster absolute extent arrays in one
-        numpy pass over the whole plan, and the ``io_coalesce`` batch
-        boundaries and their page sums are derived globally — the
-        per-cluster Python work is reduced to slicing the shared arrays.
-        Cluster bitmap placements come from the allocation's vectorised
+        A cluster's fact extents are its fragments' extent templates
+        (identical to the uniform path's), each shifted by the
+        fragment's start page relative to the cluster's first fact page
+        (``fact_start``).  That layout — the relative starts and the
+        template of every fragment — fixes the cluster's batch list, so
+        clusters with equal layouts share one list of shared
+        :class:`~repro.sim.disk.ExtentTemplate` batches (interned by
+        content within one call), like the uniform path's fragments
+        share theirs.  Cluster bitmap placements come from the
+        allocation's vectorised
         :meth:`~repro.allocation.placement.DiskAllocation.bitmap_cluster_locations`.
         """
         buffer = self.params.buffer
@@ -581,7 +592,7 @@ class SimulatedDatabase:
             counts = _spread_count_array(hit_granules, n_selected)
 
         allocation = self.allocation
-        _fact_disks, fact_starts = allocation.fact_locations(ids)
+        fact_disks, fact_starts = allocation.fact_locations(ids)
         units = ids // self.params.cluster_factor
         # Group boundaries: consecutive runs of equal allocation unit.
         boundaries = np.flatnonzero(np.diff(units)) + 1
@@ -589,99 +600,37 @@ class SimulatedDatabase:
         group_ends = np.concatenate(
             (boundaries, np.asarray([n_selected], dtype=np.int64))
         )
-        n_groups = group_starts.size
+        sizes = group_ends - group_starts
 
         # Per-fragment extent templates: the full-scan template, or one
         # spread template per distinct hit-granule count (the spreader
         # emits at most two distinct counts per plan).
-        full_template = self._sequential_extents(
-            0, pages_per_fragment, prefetch
-        )
         if counts is None:
-            distinct = [(None, full_template)]
+            templates = [
+                self._sequential_extents(0, pages_per_fragment, prefetch)
+            ]
             template_of = np.zeros(n_selected, dtype=np.int64)
         else:
             values = np.unique(counts)
-            distinct = [
-                (
+            templates = [
+                self._spread_extents(
+                    0,
+                    pages_per_fragment,
+                    prefetch,
+                    granules_per_fragment,
                     count,
-                    self._spread_extents(
-                        0,
-                        pages_per_fragment,
-                        prefetch,
-                        granules_per_fragment,
-                        count,
-                    ),
                 )
                 for count in values.tolist()
             ]
             template_of = np.searchsorted(values, counts)
-        lengths_of = np.asarray(
-            [len(template) for _count, template in distinct], dtype=np.int64
-        )
-        lengths = lengths_of[template_of]
-        ext_pos = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(lengths))
-        )
-        total_extents = int(ext_pos[-1])
 
-        # Scatter each fragment's template (offsets and page counts)
-        # into the global extent arrays, then add the fragment bases.
-        offsets = np.empty(total_extents, dtype=np.int64)
-        extent_pages = np.empty(total_extents, dtype=np.int64)
-        for index, (_count, template) in enumerate(distinct):
-            length = int(lengths_of[index])
-            if not length:
-                continue
-            mask = template_of == index
-            slots = (
-                ext_pos[:-1][mask][:, None]
-                + np.arange(length, dtype=np.int64)
-            ).ravel()
-            reps = int(mask.sum())
-            array = np.asarray(template, dtype=np.int64)
-            offsets[slots] = np.tile(array[:, 0], reps)
-            extent_pages[slots] = np.tile(array[:, 1], reps)
-        abs_starts = np.repeat(fact_starts, lengths) + offsets
-
-        # io_coalesce batch boundaries, globally: batches tile each
-        # cluster's contiguous extent range, so one reduceat over the
-        # batch starts yields every batch's page sum (and one over the
-        # cluster starts every cluster's page total) exactly.
-        coalesce = self.params.io_coalesce
-        group_ext_starts = ext_pos[group_starts]
-        group_ext_ends = ext_pos[group_ends]
-        extent_counts = group_ext_ends - group_ext_starts
-        batches_per_group = -(-extent_counts // coalesce)
-        batch_prefix = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(batches_per_group))
+        # One (relative start, template) row per fragment; a cluster's
+        # rows are its layout, and their bytes its interning key.
+        cluster_bases = fact_starts[group_starts]
+        layout_rows = np.stack(
+            (fact_starts - np.repeat(cluster_bases, sizes), template_of),
+            axis=1,
         )
-        total_batches = int(batch_prefix[-1])
-        within = (
-            np.arange(total_batches, dtype=np.int64)
-            - np.repeat(batch_prefix[:-1], batches_per_group)
-        )
-        batch_starts = (
-            np.repeat(group_ext_starts, batches_per_group) + within * coalesce
-        )
-        # Segment sums via cumulative sums (exact for integers, and —
-        # unlike ``reduceat`` — correct for empty segments, which arise
-        # when every fragment of a cluster has zero hit granules).
-        page_cumsum = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(extent_pages))
-        )
-        batch_ends = np.concatenate(
-            (batch_starts[1:], np.asarray([total_extents], dtype=np.int64))
-        )
-        batch_page_sums = (
-            page_cumsum[batch_ends] - page_cumsum[batch_starts]
-        ).tolist()
-        group_fact_pages = (
-            page_cumsum[group_ext_ends] - page_cumsum[group_ext_starts]
-        ).tolist()
-        batch_ends = batch_ends.tolist()
-        batch_start_list = batch_starts.tolist()
-        extent_list = np.stack((abs_starts, extent_pages), axis=1).tolist()
 
         relevant_cumsum = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(relevants))
@@ -689,48 +638,64 @@ class SimulatedDatabase:
         group_relevant = (
             relevant_cumsum[group_ends] - relevant_cumsum[group_starts]
         ).tolist()
-        group_units = units[group_starts]
-        selected = (group_ends - group_starts).tolist()
-        group_ids = ids[group_starts].tolist()
-        group_fact_disks = _fact_disks[group_starts].tolist()
-        batch_first = batch_prefix[:-1].tolist()
-        batch_last = batch_prefix[1:].tolist()
-
         n_bitmaps = plan.bitmaps_per_fragment
         if n_bitmaps:
             bitmap_disk_rows, bitmap_start_rows, cluster_pages = (
                 allocation.bitmap_cluster_locations(
-                    group_units, group_ends - group_starts, n_bitmaps
+                    units[group_starts], sizes, n_bitmaps
                 )
             )
         else:
-            cluster_pages = [0] * n_groups
+            cluster_pages = [0] * group_starts.size
 
-        group_extent_counts = extent_counts.tolist()
+        coalesce = self.params.io_coalesce
+        layouts: dict[bytes, tuple[list, int, int]] = {}
+        shared_batches: dict[tuple, tuple[ExtentTemplate, int]] = {}
         empty: list = []
-        for g in range(n_groups):
-            fact_batches = [
-                (
-                    extent_list[batch_start_list[b] : batch_ends[b]],
-                    batch_page_sums[b],
+        for g, (lo, hi, fragment_id, fact_disk, base, selected) in enumerate(
+            zip(
+                group_starts.tolist(),
+                group_ends.tolist(),
+                ids[group_starts].tolist(),
+                fact_disks[group_starts].tolist(),
+                cluster_bases.tolist(),
+                sizes.tolist(),
+            )
+        ):
+            rows = layout_rows[lo:hi]
+            key = rows.tobytes()
+            layout = layouts.get(key)
+            if layout is None:
+                extents = [
+                    (start + offset, pages)
+                    for start, index in rows.tolist()
+                    for offset, pages in templates[index]
+                ]
+                fact_batches = [
+                    shared_batches.setdefault(tuple(batch), (batch, total))
+                    for batch, total in batch_extents(extents, coalesce)
+                ]
+                layout = layouts[key] = (
+                    fact_batches,
+                    sum(pages for _start, pages in extents),
+                    len(extents),
                 )
-                for b in range(batch_first[g], batch_last[g])
-            ]
+            fact_batches, fact_pages, extent_count = layout
             pages = cluster_pages[g]
             yield SubqueryWork(
-                fragment_id=group_ids[g],
-                fact_disk=group_fact_disks[g],
-                fact_start=0,
+                fragment_id=fragment_id,
+                fact_disk=fact_disk,
+                fact_start=base,
                 fact_batches=fact_batches,
-                fact_pages=group_fact_pages[g],
+                fact_pages=fact_pages,
                 bitmap_disks=bitmap_disk_rows[g] if n_bitmaps else empty,
                 bitmap_starts=bitmap_start_rows[g] if n_bitmaps else empty,
                 bitmap_extents=[(0, pages)] if n_bitmaps else empty,
                 bitmap_pages_per_read=pages,
                 bitmap_pages=pages * n_bitmaps,
                 relevant_rows=group_relevant[g],
-                fact_extent_count=group_extent_counts[g],
-                fragment_count=selected[g],
+                fact_extent_count=extent_count,
+                fragment_count=selected,
             )
 
     @staticmethod

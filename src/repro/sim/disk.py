@@ -11,18 +11,33 @@ This reproduces the paper's observation that speed-up over the disk
 count is *slightly superlinear*: with more disks each holds less data,
 so the head travels shorter distances.
 
-Extent-group requests above ``VECTOR_MIN_EXTENTS`` extents are priced
-through numpy (one array pass instead of a Python loop); the element
-operations and the accumulation order are identical to the scalar loop,
-so both paths produce bit-identical service times.  Large groups arise
-when ``io_coalesce`` merges many granule reads into one request.
+A request of several extents is priced as the seek from the head to its
+first extent plus a *tail*: every later extent's service term (seek,
+settle, transfer) and its seek.  Only the first seek depends on where
+the head is.  The work expanders hand out shared, base-relative
+:class:`ExtentTemplate` objects, and a template's tail is prepared once,
+at its first pricing, and stored on the template for the pricing disk's
+:class:`DiskParameters`.  Pricing then folds the prepared terms left to
+right, in the per-extent order, so service times, ``seek_time`` and the
+head position are bit-identical to pricing every extent on its own.
+
+Why a tail does not depend on the base page: with a power-of-two
+``pages_per_track`` (64 by default), dividing an integer page number by
+it is exact, and so is the difference of two such quotients.  A later
+extent's seek distance ``(base + o) / ppt - (base + e) / ppt`` is then
+bit for bit ``(o - e) / ppt`` for every base.  Other track sizes, and
+transient extent lists (buffer-pool miss subsets, :meth:`Disk.read_extents`),
+compute their tail per request, through the same
+:meth:`Disk.seek_seconds` formula, without caching.  Unprepared lists of
+``VECTOR_MIN_EXTENTS`` or more extents are priced through numpy instead,
+with the same element operations and accumulation order.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappush
-from math import sqrt as _sqrt
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +55,24 @@ _MEAN_SQRT_DISTANCE = 8.0 / 15.0
 #: Extent count from which `_service` switches to the numpy path.  The
 #: scalar loop wins below this because of per-call array overhead.
 VECTOR_MIN_EXTENTS = 32
+
+
+class ExtentTemplate(list):
+    """A shared, base-relative list of ``(offset, pages)`` extents.
+
+    The work expanders build one per distinct request layout and let
+    many requests read it against different base pages.  ``tail`` holds
+    the pricing tail a :class:`Disk` prepared for it (see
+    :meth:`Disk._tail`), tagged with that disk's
+    :class:`DiskParameters`; a disk with other parameters prepares and
+    stores its own.  Offsets must be integer page numbers.
+    """
+
+    __slots__ = ("tail",)
+
+    def __init__(self, extents=()):
+        super().__init__(extents)
+        self.tail = None
 
 
 class Disk(FifoServer):
@@ -64,6 +97,7 @@ class Disk(FifoServer):
         "_pages_per_track",
         "_settle_s",
         "_per_page_s",
+        "_exact_tails",
         "pages_read",
         "seek_time",
     )
@@ -80,6 +114,12 @@ class Disk(FifoServer):
         self._pages_per_track = params.pages_per_track
         self._settle_s = params.settle_controller_ms / 1000.0
         self._per_page_s = params.per_page_ms / 1000.0
+        # Template tails hold for every base only if page / track is
+        # exact, i.e. for a power-of-two track size (module docstring).
+        ppt = params.pages_per_track
+        self._exact_tails = (
+            type(ppt) is int and ppt > 0 and not ppt & (ppt - 1)
+        )
         # Statistics
         self.pages_read = 0
         self.seek_time = 0.0
@@ -104,10 +144,16 @@ class Disk(FifoServer):
         """
         if not extents:
             raise ValueError("need at least one extent")
+        capacity = self.params.capacity_pages
         total_pages = 0
-        for _start, n_pages in extents:
+        for start, n_pages in extents:
             if n_pages <= 0:
                 raise ValueError("extent must cover at least one page")
+            if start < 0 or start + n_pages > capacity:
+                raise ValueError(
+                    f"extent ({start}, {n_pages}) lies outside the disk's "
+                    f"pages [0, capacity_pages={capacity})"
+                )
             total_pages += n_pages
         return self.read_validated(list(extents), total_pages)
 
@@ -120,8 +166,9 @@ class Disk(FifoServer):
         list themselves and already track its page sum.  ``extents`` may
         be offsets against ``base`` (shared extent templates).  Queued
         requests use the flat ``(extents, done, total_pages, enqueued,
-        base)`` form that :meth:`_complete` prices inline — no closure
-        and no nested service tuple per request.  This inlines
+        base)`` form that :meth:`_complete` hands straight to
+        :meth:`_service` — no closure and no nested service tuple per
+        request.  This inlines
         :meth:`FifoServer.submit` for the idle-server case (service
         times are non-negative sums of seek, settle and transfer
         components, so the negativity check of the generic path is
@@ -244,8 +291,10 @@ class Disk(FifoServer):
 
     def _complete(self, entry) -> None:
         """:meth:`FifoServer._complete` with the disk's flat queued form
-        ``(extents, done, total_pages, enqueued, base)`` priced inline
-        (the hot case on saturated disks); 4-tuples from the generic
+        ``(extents, done, total_pages, enqueued, base)`` priced by a
+        direct :meth:`_service` call (the hot case on saturated disks;
+        inlining the single-extent pricing here measured no faster on
+        ``monthclass_1store``); 4-tuples from the generic
         :meth:`FifoServer.submit` fall back to :meth:`_price`.  Service
         times from :meth:`_service` are non-negative sums of seek,
         settle and transfer components, so the generic negativity check
@@ -270,33 +319,7 @@ class Disk(FifoServer):
             if len(next_entry) == 5:
                 extents, next_done, next_value, enqueued, base = next_entry
                 self.queue_time += env._now - enqueued
-                if len(extents) == 1:
-                    # The single-extent pricing of _service, inlined:
-                    # one call frame per completion on saturated disks.
-                    # KEEP IN SYNC with the len==1 branch of _service —
-                    # queued and idle requests must price identically
-                    # (pinned by tests/sim/test_clustered_fastpath.py).
-                    offset, n_pages = extents[0]
-                    start_page = base + offset
-                    ppt = self._pages_per_track
-                    track = start_page / ppt
-                    distance = track - self._head_track
-                    if distance < 0.0:
-                        distance = -distance
-                    if distance == 0:
-                        seek = 0.0
-                    else:
-                        seek = self._max_seek_s * _sqrt(
-                            distance / self._total_tracks
-                        )
-                    self.seek_time += seek
-                    self.pages_read += n_pages
-                    self._head_track = (start_page + n_pages) / ppt
-                    next_duration = (
-                        seek + self._settle_s + n_pages * self._per_page_s
-                    )
-                else:
-                    next_duration = self._service(extents, base)
+                next_duration = self._service(extents, base)
                 time = env._now + next_duration
             elif len(next_entry) == 3:
                 # Queued fused batch: every request waited, so the
@@ -355,59 +378,81 @@ class Disk(FifoServer):
     def _service(
         self, extents: Sequence[tuple[int, int]], base: int = 0
     ) -> float:
+        """Price one request at its service start; moves the head.
+
+        The seek from the head to the first extent is computed here; the
+        rest of the request is its tail (:meth:`_tail`), prepared once
+        per :class:`ExtentTemplate` and folded left to right.  Skipping
+        a zero seek in the ``seek_time`` fold is exact (``x + 0.0 == x``
+        for the non-negative sums here); every other addition keeps the
+        per-extent order of pricing each extent in turn.
+        """
+        if (
+            len(extents) >= VECTOR_MIN_EXTENTS
+            and extents.__class__ is not ExtentTemplate
+        ):
+            return self._service_vector(extents, base)
+        offset, n_pages = extents[0]
+        start_page = base + offset
+        ppt = self._pages_per_track
+        seek = self.seek_seconds(self._head_track, start_page / ppt)
+        self.seek_time += seek
+        total = seek + self._settle_s + n_pages * self._per_page_s
         if len(extents) == 1:
-            # Single-extent requests dominate bitmap-heavy plans (every
-            # packed cluster extent and every sub-page bitmap fragment
-            # is one extent); the direct form performs the exact same
-            # IEEE-754 operations as one loop iteration.  KEEP IN SYNC
-            # with the inlined copy in _complete (queued requests).
-            offset, n_pages = extents[0]
-            start_page = base + offset
-            ppt = self._pages_per_track
-            track = start_page / ppt
-            distance = track - self._head_track
-            if distance < 0.0:
-                distance = -distance
-            if distance == 0:
-                seek = 0.0
-            else:
-                seek = self._max_seek_s * _sqrt(
-                    distance / self._total_tracks
-                )
-            self.seek_time += seek
             self.pages_read += n_pages
             self._head_track = (start_page + n_pages) / ppt
-            return seek + self._settle_s + n_pages * self._per_page_s
-        if len(extents) >= VECTOR_MIN_EXTENTS:
-            return self._service_vector(extents, base)
+            return total
+        if extents.__class__ is ExtentTemplate and self._exact_tails:
+            tail = extents.tail
+            if tail is None or tail[0] is not self.params:
+                tail = extents.tail = self._tail(extents, 0)
+        else:
+            tail = self._tail(extents, base)
+        _params, seeks, terms, pages, end = tail
+        for term in terms:
+            total += term
+        if seeks:
+            seek_time = self.seek_time
+            for step in seeks:
+                seek_time += step
+            self.seek_time = seek_time
+        self.pages_read += pages
+        self._head_track = (base + end) / ppt
+        return total
+
+    def _tail(
+        self, extents: Sequence[tuple[int, int]], base: int
+    ) -> tuple[DiskParameters, list[float], list[float], int, int]:
+        """Pricing of ``extents[1:]``, each seeking from the end of the
+        extent before it.
+
+        Returns ``(params, seeks, terms, pages, end)``: this disk's
+        parameters (the key of a stored template tail), the nonzero
+        seeks and the per-extent service terms in extent order, the
+        pages of the whole request, and the end offset of its last
+        extent.  Templates are prepared at ``base`` 0 (exact for every
+        base, see the module docstring); transient lists at their own
+        base.
+        """
         ppt = self._pages_per_track
         settle = self._settle_s
         per_page = self._per_page_s
-        max_seek = self._max_seek_s
-        total_tracks = self._total_tracks
-        sqrt = math.sqrt
-        head = self._head_track
-        seek_sum = self.seek_time
-        pages_sum = 0
-        total = 0.0
-        for offset, n_pages in extents:
+        seek_seconds = self.seek_seconds
+        offset, pages = extents[0]
+        end = offset + pages
+        head = (base + end) / ppt
+        seeks: list[float] = []
+        terms: list[float] = []
+        for offset, n_pages in islice(extents, 1, None):
             start_page = base + offset
-            track = start_page / ppt
-            distance = track - head
-            if distance < 0.0:
-                distance = -distance
-            if distance == 0:
-                seek = 0.0
-            else:
-                seek = max_seek * sqrt(distance / total_tracks)
-            seek_sum += seek
-            total += (seek + settle + n_pages * per_page)
-            pages_sum += n_pages
+            seek = seek_seconds(head, start_page / ppt)
+            if seek:
+                seeks.append(seek)
+            terms.append(seek + settle + n_pages * per_page)
+            pages += n_pages
+            end = offset + n_pages
             head = (start_page + n_pages) / ppt
-        self._head_track = head
-        self.seek_time = seek_sum
-        self.pages_read += pages_sum
-        return total
+        return self.params, seeks, terms, pages, end
 
     def _service_vector(
         self, extents: Sequence[tuple[int, int]], base: int = 0

@@ -1,14 +1,15 @@
 """Clustered/skewed fast-path invariants (behaviour-preserving claims).
 
-The clustered and skewed work expansions build per-cluster extent
-arrays from shared templates in one numpy pass, bitmap reads are stored
-structure-of-arrays and probed in bulk (``BufferPool.probe_many``), and
-the counting-only shortcut extends to multi-fragment clustered
-single-query runs.  Each optimisation is only valid because of the
-invariants pinned here: probe parity with the scalar loop, packed-key
-disk validation, drift-free spreader totals, pairwise-distinct extent
-accesses under clustering/skew, and end-to-end metric equality with the
-un-shortcut buffer path.
+The clustered and skewed work expansions hand out shared base-relative
+extent templates (equal cluster layouts share one batch list), bitmap
+reads are stored structure-of-arrays and probed in bulk
+(``BufferPool.probe_many``), and the counting-only shortcut extends to
+multi-fragment clustered single-query runs.  Each optimisation is only
+valid because of the invariants pinned here: probe parity with the
+scalar loop, packed-key disk validation, drift-free spreader totals,
+pairwise-distinct extent accesses under clustering/skew, end-to-end
+metric equality with the un-shortcut buffer path, and equality of the
+clustered expansion with a per-fragment reference.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.costmodel.estimator import cardenas, distinct_blocks
 from repro.mdhf.spec import Fragmentation
 from repro.schema.apb1 import tiny_schema
 from repro.sim.buffer import BufferManager, BufferPool, _MAX_DISK
@@ -315,9 +317,9 @@ class TestSequentialBitmapProbeTiming:
 
 class TestQueuedVsIdleDiskPricing:
     def test_queued_and_idle_single_extent_pricing_agree(self):
-        """The single-extent pricing is inlined in ``Disk._complete``
-        (queued requests) and lives in ``Disk._service`` (idle disk);
-        both copies must price identically, head state included."""
+        """Queued requests are priced when the previous one completes
+        (``Disk._complete``), idle ones at submit; both must price
+        identically, head state included."""
         from repro.sim.config import DiskParameters
         from repro.sim.disk import Disk
         from repro.sim.engine import Environment
@@ -329,7 +331,7 @@ class TestQueuedVsIdleDiskPricing:
             disk = Disk(env, DiskParameters(), 0)
             if queued:
                 # Submit everything at once: all but the first request
-                # are priced by the inlined block in _complete.
+                # are priced from _complete.
                 for start, pages in reads:
                     disk.read_validated([(start, pages)], pages)
                 env.run()
@@ -383,4 +385,100 @@ class TestWorkStructureOfArrays:
         assert sum(w.fragment_count for w in works) == plan.fragment_count
         assert sum(w.relevant_rows for w in works) == sum(
             _spread_counts(plan.hits_per_fragment, plan.fragment_count)
+        )
+
+
+# ---------------------------------------------------------------------
+# Clustered expansion: base-relative, shared batch layouts
+# ---------------------------------------------------------------------
+
+
+def _reference_clusters(database, plan):
+    """Per-fragment expansion, grouped into clusters the plain way.
+
+    Returns one ``(first fact page, absolute extents)`` pair per
+    cluster: every selected fragment's extents at its own start page,
+    concatenated in fragment order within its allocation unit.
+    """
+    params = database.params
+    prefetch = params.buffer.prefetch_fact_pages
+    fragment_pages = database.fact_pages_per_fragment
+    granules = math.ceil(fragment_pages / prefetch)
+    ids = plan.fragment_id_array(database.geometry).tolist()
+    counts = None
+    if not plan.all_rows_relevant:
+        hit_pages = distinct_blocks(
+            round(database._tuples_per_fragment),
+            database._tuples_per_page,
+            plan.hits_per_fragment,
+        )
+        hit_granules = min(float(granules), cardenas(granules, hit_pages))
+        counts = _spread_counts(hit_granules, len(ids))
+    clusters = []
+    unit = None
+    for i, fragment_id in enumerate(ids):
+        _disk, start = database.allocation.fact_location(fragment_id)
+        if counts is None:
+            extents = database._sequential_extents(
+                start, fragment_pages, prefetch
+            )
+        else:
+            extents = database._spread_extents(
+                start, fragment_pages, prefetch, granules, counts[i]
+            )
+        if fragment_id // params.cluster_factor != unit:
+            unit = fragment_id // params.cluster_factor
+            clusters.append((start, []))
+        clusters[-1][1].extend(extents)
+    return clusters
+
+
+class TestClusteredExpansionReference:
+    """Fragments spanning several granules (400-byte tuples, 2-page
+    granules) and batches of 3 extents, so batches straddle fragment
+    boundaries and clusters differ in layout."""
+
+    @pytest.mark.parametrize("cluster_factor", [2, 8, 32])
+    @pytest.mark.parametrize("query_name", ["1STORE", "1QUARTER"])
+    def test_matches_per_fragment_reference(self, cluster_factor, query_name):
+        schema = tiny_schema(density=1.0, tuple_size_bytes=400)
+        base = _tiny_params()
+        params = replace(
+            base,
+            cluster_factor=cluster_factor,
+            io_coalesce=3,
+            buffer=replace(base.buffer, prefetch_fact_pages=2),
+        )
+        database = SimulatedDatabase(
+            schema, Fragmentation.parse("time::month", "product::group"),
+            params,
+        )
+        query = query_type(query_name).instantiate(schema, random.Random(0))
+        plan = database.plan(query)
+        # One selective and one full-scan query.
+        assert plan.all_rows_relevant == (query_name == "1QUARTER")
+        works = list(database.iter_subquery_work(plan))
+        clusters = _reference_clusters(database, plan)
+        assert len(works) == len(clusters)
+
+        by_layout: dict[tuple, list] = {}
+        for work, (first_page, extents) in zip(works, clusters):
+            assert work.fact_start == first_page
+            assert work.fact_extents == extents
+            assert work.fact_pages == sum(p for _s, p in extents)
+            assert work.fact_extent_count == len(extents)
+            assert [pages for _batch, pages in work.fact_batches] == [
+                sum(p for _s, p in extents[i : i + 3])
+                for i in range(0, len(extents), 3)
+            ]
+            layout = tuple((s - first_page, p) for s, p in extents)
+            by_layout.setdefault(layout, []).append(work.fact_batches)
+
+        # Equal relative layouts share one batch-list object; that
+        # sharing is what keeps the expansion's memory flat.
+        assert any(len(lists) > 1 for lists in by_layout.values())
+        for lists in by_layout.values():
+            assert all(batches is lists[0] for batches in lists)
+        assert len({id(lists[0]) for lists in by_layout.values()}) == len(
+            by_layout
         )

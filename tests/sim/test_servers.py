@@ -121,6 +121,48 @@ class TestDisk:
         with pytest.raises(ValueError):
             d.read_extents([(0, 0)])
 
+    def test_negative_start_page_rejected(self, disk):
+        # Regression: a negative start moved the head off the platter.
+        env, d = disk
+        with pytest.raises(
+            ValueError, match=r"extent \(-8, 8\).*capacity_pages=1048576"
+        ):
+            d.read_extents([(0, 8), (-8, 8)])
+        env.run()
+        assert d.pages_read == 0 and d.request_count == 0
+
+    def test_extent_beyond_capacity_rejected(self, disk):
+        # Regression: an extent past the last page priced a seek longer
+        # than a full stroke.
+        env, d = disk
+        capacity = d.params.capacity_pages
+        with pytest.raises(
+            ValueError,
+            match=rf"extent \({capacity - 4}, 8\).*capacity_pages={capacity}",
+        ):
+            d.read_extents([(capacity - 4, 8)])
+        with pytest.raises(ValueError, match="capacity_pages"):
+            d.read(capacity, 1)
+        env.run()
+        assert d.seek_time == 0.0 and d.request_count == 0
+
+    def test_extents_up_to_the_last_page_accepted(self, disk):
+        env, d = disk
+        capacity = d.params.capacity_pages
+        d.read_extents([(0, 1), (capacity - 8, 8)])
+        env.run()
+        assert d.pages_read == 9
+        assert d._head_track == d._total_tracks
+        # A full stroke is the longest seek the curve prices.
+        assert d.seek_time <= d.seek_seconds(0.0, d._total_tracks)
+
+    def test_trusted_path_does_not_validate(self, disk):
+        # read_validated stays unchecked: its callers build the extents.
+        env, d = disk
+        d.read_validated([(-8, 8)], 8, base=8)
+        env.run()
+        assert d.pages_read == 8
+
 
 class TestProcessingNode:
     def test_compute_duration(self):
