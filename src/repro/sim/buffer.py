@@ -40,8 +40,10 @@ class BufferPool:
     distinct for the rest of its life (e.g. a single star query never
     touches the same extent twice — fragments are visited once and their
     extents are disjoint).  Distinct accesses can never hit, so hit/miss
-    statistics stay exact while residency tracking is skipped; callers
-    on the hot path branch on the flag to bypass the LRU work entirely.
+    statistics stay exact while residency tracking is skipped:
+    :meth:`access_extents` and :meth:`probe_many` report every extent
+    as missed without touching the LRU state, so callers never branch
+    on the flag.
     """
 
     __slots__ = ("capacity_pages", "name", "_entries", "_used_pages",
@@ -195,7 +197,7 @@ class BufferPool:
         bases: list[int],
         extents: list[tuple[int, int]],
         total_pages: int,
-    ) -> list[tuple[list[tuple[int, int]], int]] | None:
+    ) -> list[tuple[list[tuple[int, int]], int]]:
         """Bulk :meth:`access_extents` over groups sharing one template.
 
         Probes the ``(disks[i], bases[i])`` extent groups in order, each
@@ -203,15 +205,14 @@ class BufferPool:
         their page sum) — the layout of a work unit's bitmap reads.
         Hit/miss counts and the LRU state evolve exactly as per-group
         :meth:`access_extents` calls would.  Returns one ``(to_read,
-        read_pages)`` pair per group — or ``None`` from a counting-only
-        pool, whose distinct accesses can never hit: the caller reads
-        every group in full (``None`` spares the hot path one result
-        tuple per group; the misses are counted here).
+        read_pages)`` pair per group; a counting-only pool returns
+        ``(extents, total_pages)`` for every group, the template itself,
+        so the disks' prepared pricing tails still apply.
         """
         if self.count_only:
             # Distinct accesses can only miss: everything is read.
             self.misses += len(extents) * len(disks)
-            return None
+            return [(extents, total_pages)] * len(disks)
         access_extents = self.access_extents
         return [
             access_extents(disk, extents, base, total_pages)

@@ -8,6 +8,7 @@ grouped at the end and documented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -23,6 +24,20 @@ class DiskParameters:
     capacity_pages: int = 1_048_576
     #: Pages per track for the seek-distance model.
     pages_per_track: int = 64
+
+    def __post_init__(self) -> None:
+        # The disk prices requests as sums of these terms and skips the
+        # generic negative-service check, so they must hold here.
+        for name in ("avg_seek_ms", "settle_controller_ms", "per_page_ms"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+        for name in ("capacity_pages", "pages_per_track"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

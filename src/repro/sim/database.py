@@ -71,8 +71,6 @@ class SubqueryWork:
     bitmap_pages: int
     #: Rows this subquery extracts and aggregates.
     relevant_rows: int
-    #: Fact extents across all batches (``sum(len(batch))``).
-    fact_extent_count: int = 0
     #: Fact fragments covered (> 1 under Section 6.3 clustering).
     fragment_count: int = 1
 
@@ -310,9 +308,8 @@ class SimulatedDatabase:
         coalesce = self.params.io_coalesce
         full_extents = self._sequential_extents(0, pages_per_fragment, prefetch)
         full_batches = batch_extents(full_extents, coalesce)
-        full_extent_count = len(full_extents)
         spread_batches: dict[
-            int, tuple[list[tuple[list[tuple[int, int]], int]], int, int]
+            int, tuple[list[tuple[list[tuple[int, int]], int]], int]
         ] = {}
 
         n_bitmaps = plan.bitmaps_per_fragment
@@ -349,7 +346,6 @@ class SimulatedDatabase:
             if counts is None:
                 batches = full_batches
                 fact_pages = pages_per_fragment
-                extent_count = full_extent_count
             else:
                 count = counts[i]
                 cached = spread_batches.get(count)
@@ -364,10 +360,9 @@ class SimulatedDatabase:
                     cached = (
                         batch_extents(template, coalesce),
                         sum(pages for _, pages in template),
-                        len(template),
                     )
                     spread_batches[count] = cached
-                batches, fact_pages, extent_count = cached
+                batches, fact_pages = cached
 
             yield SubqueryWork(
                 fragment_id=fragment_id,
@@ -381,7 +376,6 @@ class SimulatedDatabase:
                 bitmap_pages_per_read=bitmap_pages_per_fragment,
                 bitmap_pages=bitmap_pages_total,
                 relevant_rows=relevants[i],
-                fact_extent_count=extent_count,
             )
 
     #: Refuse to materialise per-fragment skew arrays beyond this size.
@@ -422,7 +416,6 @@ class SimulatedDatabase:
         list[tuple[list[tuple[int, int]], int]],
         int,
         int,
-        int,
         list[tuple[int, int]],
         int,
     ]:
@@ -433,9 +426,8 @@ class SimulatedDatabase:
         tuple count (given the plan), not on where the fragment lives.
         Extents are base-relative, so fragments with equal populations
         share one template exactly like the uniform path's fragments
-        share theirs.  Returns ``(fact_batches, fact_pages,
-        fact_extent_count, relevant, bitmap_extents,
-        bitmap_pages_per_fragment)``.
+        share theirs.  Returns ``(fact_batches, fact_pages, relevant,
+        bitmap_extents, bitmap_pages_per_fragment)``.
         """
         buffer = self.params.buffer
         prefetch = buffer.prefetch_fact_pages
@@ -476,7 +468,6 @@ class SimulatedDatabase:
         return (
             batch_extents(extents, self.params.io_coalesce),
             sum(p for _, p in extents),
-            len(extents),
             relevant,
             extents_b,
             fragment_bitmap_pages,
@@ -527,7 +518,6 @@ class SimulatedDatabase:
             (
                 fact_batches,
                 fact_pages,
-                fact_extent_count,
                 relevant,
                 extents_b,
                 fragment_bitmap_pages,
@@ -546,7 +536,6 @@ class SimulatedDatabase:
                 bitmap_pages_per_read=fragment_bitmap_pages,
                 bitmap_pages=fragment_bitmap_pages * n_bitmaps,
                 relevant_rows=relevant,
-                fact_extent_count=fact_extent_count,
             )
 
     def _iter_clustered_work(self, plan: QueryPlan) -> Iterator[SubqueryWork]:
@@ -649,7 +638,7 @@ class SimulatedDatabase:
             cluster_pages = [0] * group_starts.size
 
         coalesce = self.params.io_coalesce
-        layouts: dict[bytes, tuple[list, int, int]] = {}
+        layouts: dict[bytes, tuple[list, int]] = {}
         shared_batches: dict[tuple, tuple[ExtentTemplate, int]] = {}
         empty: list = []
         for g, (lo, hi, fragment_id, fact_disk, base, selected) in enumerate(
@@ -678,9 +667,8 @@ class SimulatedDatabase:
                 layout = layouts[key] = (
                     fact_batches,
                     sum(pages for _start, pages in extents),
-                    len(extents),
                 )
-            fact_batches, fact_pages, extent_count = layout
+            fact_batches, fact_pages = layout
             pages = cluster_pages[g]
             yield SubqueryWork(
                 fragment_id=fragment_id,
@@ -694,7 +682,6 @@ class SimulatedDatabase:
                 bitmap_pages_per_read=pages,
                 bitmap_pages=pages * n_bitmaps,
                 relevant_rows=group_relevant[g],
-                fact_extent_count=extent_count,
                 fragment_count=selected,
             )
 

@@ -170,9 +170,9 @@ class Disk(FifoServer):
         :meth:`_service` — no closure and no nested service tuple per
         request.  This inlines
         :meth:`FifoServer.submit` for the idle-server case (service
-        times are non-negative sums of seek, settle and transfer
-        components, so the negativity check of the generic path is
-        vacuous here).
+        times are sums of seek, settle and transfer components, which
+        :class:`DiskParameters` validates as finite and non-negative,
+        so the negativity check of the generic path is vacuous here).
         """
         env = self.env
         # Event(env), field stores inlined: no __init__ frame on the
@@ -284,23 +284,20 @@ class Disk(FifoServer):
         self.queue_time = queue_time
         return t, durations, pages
 
-    def _price(self, service) -> float:
-        if service.__class__ is tuple:
-            return self._service(service[1], service[0])
-        return service() if callable(service) else service
-
     def _complete(self, entry) -> None:
         """:meth:`FifoServer._complete` with the disk's flat queued form
         ``(extents, done, total_pages, enqueued, base)`` priced by a
         direct :meth:`_service` call (the hot case on saturated disks;
         inlining the single-extent pricing here measured no faster on
         ``monthclass_1store``); 4-tuples from the generic
-        :meth:`FifoServer.submit` fall back to :meth:`_price`.  Service
-        times from :meth:`_service` are non-negative sums of seek,
-        settle and transfer components, so the generic negativity check
-        is vacuous for them.  The completion event's ``succeed`` is
-        inlined as well: the event is fresh by construction and this
-        method only ever runs during dispatch.
+        :meth:`FifoServer.submit` fall back to
+        :meth:`FifoServer._price`.  Service times from :meth:`_service`
+        are sums of seek, settle and transfer components, which
+        :class:`DiskParameters` validates as finite and non-negative,
+        so the generic negativity check is vacuous for them.  The
+        completion event's ``succeed`` is inlined as well: the event is
+        fresh by construction and this method only ever runs during
+        dispatch.
         """
         done, value, duration = entry
         if duration.__class__ is float:

@@ -397,11 +397,13 @@ class Environment:
     def timeout_at(self, when: float, value: Any = None) -> Event:
         """An event triggering at absolute simulation time ``when``.
 
-        The closed-form fast-forward paths need to land completions at
-        exact precomputed instants; ``timeout(when - now)`` is *not*
-        equivalent because ``now + (when - now)`` rounds.  ``when`` may
-        equal ``now`` (triggers on the next dispatch, after anything
-        already scheduled at the current instant).
+        For callers that must land on an exact precomputed instant;
+        ``timeout(when - now)`` is *not* equivalent because
+        ``now + (when - now)`` rounds.  No simulator component calls
+        it; it stays part of the engine surface that the equivalence
+        harness pins against the reference engine.  ``when`` may equal
+        ``now`` (triggers on the next dispatch, after anything already
+        scheduled at the current instant).
         """
         if when < self._now:
             raise ValueError("cannot schedule into the past")

@@ -64,11 +64,7 @@ class FifoServer:
         self.queue_time = 0.0
 
     def _price(self, service: Callable[[], float] | float) -> float:
-        """Service duration of a request reaching the server.
-
-        Subclasses may extend the accepted ``service`` forms (the disk
-        prices extent lists directly).
-        """
+        """Service duration of a request reaching the server."""
         return service() if callable(service) else service
 
     def submit(

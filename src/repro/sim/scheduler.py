@@ -45,7 +45,7 @@ class QueryExecutor:
     """Executes one routed query on the simulated system."""
 
     __slots__ = (
-        "env", "database", "plan", "nodes", "disks", "network", "buffers",
+        "env", "database", "plan", "nodes", "network", "buffers",
         "params", "io", "_small", "_small_delay", "_recv_cost",
         "_finish_cost", "_bitmap_page_cost", "_row_cost", "_read_page_cost",
         "_parallel_bitmap_io", "coordinator_id", "_coordinator",
@@ -69,7 +69,6 @@ class QueryExecutor:
         self.database = database
         self.plan = plan
         self.nodes = nodes
-        self.disks = disks
         self.network = network
         self.buffers = buffers
         # Scheduling knobs come from the *simulator's* parameters, not
@@ -189,6 +188,10 @@ class QueryExecutor:
         The bitmap and fact phases are inlined into this one generator
         (instead of ``yield from`` sub-generators) so each subquery
         costs a single generator frame on the event loop's hot path.
+        Every read is probed against the node's buffer pool first; a
+        counting-only pool answers those probes itself
+        (:meth:`~repro.sim.buffer.BufferPool.access_extents`), so this
+        body is the same whatever the pool tracks.
         """
         env = self.env
         small = self._small
@@ -203,14 +206,12 @@ class QueryExecutor:
         yield node.compute(self._recv_cost)
 
         # Step 4a: read and process the relevant bitmap fragments —
-        # parallel over disks if configured.  With parallel bitmap I/O
-        # (or a counting-only pool, which has no observable state) the
-        # pool is probed in bulk
-        # (:meth:`~repro.sim.buffer.BufferPool.probe_many`) before the
-        # missed groups are submitted to their disks — exactly what the
-        # sequence of probes produced before, since nothing yields
-        # between them.  Sequential bitmap I/O on a stateful LRU pool
-        # must instead probe each group only after the previous read
+        # parallel over disks if configured.  Parallel bitmap I/O probes
+        # the pool in bulk (:meth:`~repro.sim.buffer.BufferPool.probe_many`)
+        # before the missed groups are submitted to their disks —
+        # exactly what the sequence of probes would produce, since
+        # nothing yields between them.  Sequential bitmap I/O must
+        # instead probe each group only after the previous read
         # completed: concurrent queries mutate the pool while this one
         # waits.  Resident fragments still need CPU evaluation, so the
         # compute burst covers every processed page, read or buffered.
@@ -219,102 +220,38 @@ class QueryExecutor:
             bitmap_starts = work.bitmap_starts
             extents = work.bitmap_extents
             pages_per_read = work.bitmap_pages_per_read
-            parallel = self._parallel_bitmap_io
             pool = buffer.bitmap
             pages_processed = pages_per_read * len(bitmap_disks)
-            if parallel or pool.count_only:
-                pending: list[Event] = []
+            if self._parallel_bitmap_io:
+                # Group the misses per disk (insertion order = first
+                # occurrence); repeats fuse into one batch request with
+                # one completion event.  Per-disk submit order is
+                # preserved, so the FIFO service order and every priced
+                # duration are identical to the unfused reads.
                 probed = pool.probe_many(
                     bitmap_disks, bitmap_starts, extents, pages_per_read
                 )
-                if probed is None:
-                    # Counting-only pool: every group missed in full,
-                    # and the misses are already counted.
-                    io.bitmap_ops += len(extents) * len(bitmap_disks)
-                    io.bitmap_pages += pages_processed
-                    if (
-                        parallel
-                        and not env._ready
-                        and not env._heap
-                        and not env._buckets
-                        and len(set(bitmap_disks)) == len(bitmap_disks)
-                    ):
-                        # Closed-form fast-forward: the schedule is
-                        # empty, so nothing can contend with these
-                        # reads — every target disk is idle and stays
-                        # idle until its read completes.  Price each
-                        # read now (the same order the submits would)
-                        # and jump straight to the last completion via
-                        # an absolute-time event; ``now + service`` per
-                        # disk reproduces the unfused completion
-                        # instants bit for bit.
-                        disks = self.disks
-                        t0 = env._now
-                        t_end = t0
-                        for bm_disk, bm_base in zip(
-                            bitmap_disks, bitmap_starts
-                        ):
-                            bdisk = disks[bm_disk]
-                            duration = bdisk._service(extents, bm_base)
-                            bdisk.busy_time += duration
-                            bdisk.request_count += 1
-                            t = t0 + duration
-                            if t > t_end:
-                                t_end = t
-                        yield env.timeout_at(t_end)
-                    elif parallel:
-                        # Group per disk (insertion order = first
-                        # occurrence); repeats fuse into one batch
-                        # request with one completion event.  Per-disk
-                        # submit order is preserved, so the FIFO service
-                        # order and every priced duration are identical
-                        # to the unfused reads.
-                        groups: dict[int, list] = {}
-                        for disk_id, base in zip(
-                            bitmap_disks, bitmap_starts
-                        ):
-                            request = (extents, pages_per_read, base)
-                            group = groups.get(disk_id)
-                            if group is None:
-                                groups[disk_id] = [request]
-                            else:
-                                group.append(request)
-                        disk_batch = self._disk_batch
-                        for disk_id, requests in groups.items():
-                            if len(requests) == 1:
-                                pending.append(
-                                    disk_read[disk_id](
-                                        extents, pages_per_read,
-                                        requests[0][2],
-                                    )
-                                )
-                            else:
-                                pending.append(
-                                    disk_batch[disk_id](requests)
-                                )
+                groups: dict[int, list] = {}
+                read_ops = 0
+                read_total = 0
+                for disk_id, base, (to_read, read_pages) in zip(
+                    bitmap_disks, bitmap_starts, probed
+                ):
+                    if not to_read:
+                        continue
+                    read_ops += len(to_read)
+                    read_total += read_pages
+                    request = (to_read, read_pages, base)
+                    group = groups.get(disk_id)
+                    if group is None:
+                        groups[disk_id] = [request]
                     else:
-                        for disk_id, base in zip(
-                            bitmap_disks, bitmap_starts
-                        ):
-                            yield disk_read[disk_id](
-                                extents, pages_per_read, base
-                            )
-                else:
-                    groups = {}
-                    for disk_id, base, (to_read, read_pages) in zip(
-                        bitmap_disks, bitmap_starts, probed
-                    ):
-                        if not to_read:
-                            continue
-                        io.bitmap_ops += len(to_read)
-                        io.bitmap_pages += read_pages
-                        request = (to_read, read_pages, base)
-                        group = groups.get(disk_id)
-                        if group is None:
-                            groups[disk_id] = [request]
-                        else:
-                            group.append(request)
+                        group.append(request)
+                if groups:
+                    io.bitmap_ops += read_ops
+                    io.bitmap_pages += read_total
                     disk_batch = self._disk_batch
+                    pending: list[Event] = []
                     for disk_id, requests in groups.items():
                         if len(requests) == 1:
                             to_read, read_pages, base = requests[0]
@@ -323,7 +260,6 @@ class QueryExecutor:
                             )
                         else:
                             pending.append(disk_batch[disk_id](requests))
-                if pending:
                     yield env.all_of(pending)
             else:
                 access_extents = pool.access_extents
@@ -346,70 +282,25 @@ class QueryExecutor:
             rows_per_batch = row_instructions / len(batches)
             fact_disk = work.fact_disk
             base = work.fact_start
-            pool = buffer.fact
+            access_extents = buffer.fact.access_extents
+            read_validated = disk_read[fact_disk]
             compute = node.compute
             read_page = self._read_page_cost
-            if pool.count_only:
-                # Distinct accesses can only miss (see probe_many):
-                # every batch is read in full, so the per-batch counter
-                # updates collapse into per-subquery sums.
-                pool.misses += work.fact_extent_count
-                io.fact_ops += work.fact_extent_count
-                io.fact_pages += work.fact_pages
-                read_validated = disk_read[fact_disk]
-                if (
-                    not env._ready
-                    and not env._heap
-                    and not env._buckets
-                ):
-                    # Closed-form fast-forward of the whole
-                    # read-then-process chain: with an empty schedule
-                    # the only future events are this loop's own, so
-                    # the disk and the node serve each step with zero
-                    # wait.  Price every read against the moving head
-                    # and chain ``t = t + duration`` exactly as the
-                    # alternating completions would, then jump to the
-                    # final instant with one absolute-time event.
-                    disk = self.disks[fact_disk]
-                    service = disk._service
-                    per_second = node._per_second
-                    disk_busy = disk.busy_time
-                    node_busy = node.busy_time
-                    instructions = 0
-                    t = env._now
-                    for batch, pages_in_batch in batches:
-                        duration = service(batch, base)
-                        disk_busy += duration
-                        t = t + duration
-                        instr = read_page * pages_in_batch + rows_per_batch
-                        instructions += int(instr)
-                        burst = instr / per_second
-                        node_busy += burst
-                        t = t + burst
-                    disk.busy_time = disk_busy
-                    disk.request_count += len(batches)
-                    node.busy_time = node_busy
-                    node.request_count += len(batches)
-                    node.instructions += instructions
-                    yield env.timeout_at(t)
-                else:
-                    for batch, pages_in_batch in batches:
-                        yield read_validated(batch, pages_in_batch, base)
-                        yield compute(
-                            read_page * pages_in_batch + rows_per_batch
-                        )
-            else:
-                access_extents = pool.access_extents
-                read_validated = disk_read[fact_disk]
-                for batch, pages_in_batch in batches:
-                    to_read, read_pages = access_extents(
-                        fact_disk, batch, base, pages_in_batch
-                    )
-                    if to_read:
-                        io.fact_ops += len(to_read)
-                        io.fact_pages += read_pages
-                        yield read_validated(to_read, read_pages, base)
-                    yield compute(read_page * pages_in_batch + rows_per_batch)
+            # The query's counters are read only after all of its
+            # subqueries finished, so they take one sum per subquery.
+            read_ops = 0
+            read_total = 0
+            for batch, pages_in_batch in batches:
+                to_read, read_pages = access_extents(
+                    fact_disk, batch, base, pages_in_batch
+                )
+                if to_read:
+                    read_ops += len(to_read)
+                    read_total += read_pages
+                    yield read_validated(to_read, read_pages, base)
+                yield compute(read_page * pages_in_batch + rows_per_batch)
+            io.fact_ops += read_ops
+            io.fact_pages += read_total
         elif row_instructions:
             yield node.compute(row_instructions)
 

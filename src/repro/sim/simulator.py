@@ -162,10 +162,11 @@ class ParallelWarehouseSimulator:
             # uniform, clustered (each allocation unit's packed bitmap
             # extents and fact ranges are visited by exactly one cluster
             # subquery) or skewed — so the fresh pools can skip
-            # residency tracking: statistics stay exact, no hit is
-            # possible (see BufferManager.assume_distinct_accesses for
-            # the per-path argument).  Multi-query streams keep full
-            # LRU behaviour.
+            # residency tracking: no hit is possible and the pools still
+            # count every miss (see BufferManager.assume_distinct_accesses
+            # for the per-path argument).  Only the pools see the
+            # difference; the subqueries run the same code either way.
+            # Multi-query streams keep full LRU behaviour.
             for manager in buffers:
                 manager.assume_distinct_accesses()
         rng = random.Random(params.seed)

@@ -28,6 +28,7 @@ from repro.sim.database import (
     _Spreader,
     _spread_counts,
 )
+from repro.sim.disk import ExtentTemplate
 from repro.sim.simulator import ParallelWarehouseSimulator
 from repro.workload.queries import query_type
 
@@ -81,15 +82,23 @@ class TestProbeMany:
             )
             assert reference.used_pages == bulk.used_pages
 
-    def test_count_only_short_circuits_to_none(self):
-        pool = BufferPool(100)
-        pool.count_only = True
-        extents = [(0, 2), (8, 2)]
-        result = pool.probe_many([1, 2, 3], [100, 200, 300], extents, 4)
-        assert result is None
-        # One miss per (group, extent) pair, exactly like the loop.
-        assert pool.misses == 6 and pool.hits == 0
-        assert pool.used_pages == 0
+    def test_count_only_matches_fresh_stateful_pool(self):
+        # Distinct groups can only miss: a counting-only pool returns
+        # the pairs a fresh stateful pool returns and counts the same
+        # misses, without tracking residency.
+        extents = ExtentTemplate([(0, 2), (8, 2)])
+        disks, bases = [1, 2, 3], [100, 200, 300]
+        counting = BufferPool(100)
+        counting.count_only = True
+        stateful = BufferPool(100)
+        probed = counting.probe_many(disks, bases, extents, 4)
+        assert probed == stateful.probe_many(disks, bases, extents, 4)
+        # The shared template itself, so prepared pricing tails apply.
+        assert all(to_read is extents for to_read, _pages in probed)
+        assert (counting.hits, counting.misses) == (
+            stateful.hits, stateful.misses
+        ) == (0, 6)
+        assert counting.used_pages == 0
 
     def test_lru_state_equivalence_with_interleaved_hits(self):
         # Re-probing the same groups hits, refreshing LRU order exactly
@@ -241,13 +250,20 @@ class TestClusteredDistinctAccesses:
         [
             {"cluster_factor": 4},
             {"data_skew": 0.75},
+            {},
+            {"parallel_bitmap_io": False},
+            {"max_concurrent_subqueries": 1},
         ],
-        ids=["clustered", "skewed"],
+        ids=[
+            "clustered", "skewed", "uniform", "sequential_bitmap_io",
+            "one_subquery_at_a_time",
+        ],
     )
     def test_count_only_metrics_equal_full_lru(self, overrides, monkeypatch):
-        """End to end: a clustered/skewed single-query run with the
-        counting-only shortcut produces metrics identical to the full
-        LRU buffer path (no hit is possible, so the shortcut is exact).
+        """End to end: a single-query run with the counting-only
+        shortcut produces metrics identical to the full LRU buffer path
+        (no hit is possible, so the shortcut is exact).  One subquery at
+        a time leaves the engine idle around every read.
         """
         schema = tiny_schema()
         fragmentation = Fragmentation.parse("time::month", "product::group")
@@ -370,9 +386,6 @@ class TestWorkStructureOfArrays:
             assert work.bitmap_pages == (
                 work.bitmap_pages_per_read * len(work.bitmap_disks)
             )
-            assert work.fact_extent_count == sum(
-                len(batch) for batch, _pages in work.fact_batches
-            )
             assert work.fact_pages == sum(
                 pages for _batch, pages in work.fact_batches
             )
@@ -466,7 +479,6 @@ class TestClusteredExpansionReference:
             assert work.fact_start == first_page
             assert work.fact_extents == extents
             assert work.fact_pages == sum(p for _s, p in extents)
-            assert work.fact_extent_count == len(extents)
             assert [pages for _batch, pages in work.fact_batches] == [
                 sum(p for _s, p in extents[i : i + 3])
                 for i in range(0, len(extents), 3)

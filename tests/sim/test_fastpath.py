@@ -288,12 +288,10 @@ class TestDistinctAccessInvariant:
 
         The response-time band is a single-user claim (contention
         amplifies request-granularity differences through queueing).
-        The event-count claim needs *contention*: two concurrent
-        streams keep the servers busy, so the scheduler's quiescent
-        fast-forward never fires and the request merging stays visible
-        in the event-driven loop's event tally.  (A single-user run
-        collapses its uncontended read chains to one event regardless
-        of coalescing.)
+        The event-count claim runs two concurrent streams: every merged
+        disk request saves its own completion event, so the merging
+        shows in the event tally even while the queries contend for
+        the servers.
         """
         from dataclasses import replace
 
