@@ -116,14 +116,22 @@ class WorkloadParameters:
             raise ValueError(
                 f"unknown arrival_process {self.arrival_process!r}"
             )
-        if self.arrival_rate_qps <= 0:
-            raise ValueError("arrival_rate_qps must be positive")
+        # NaN and inf pass the sign checks but fail (or run wrongly)
+        # deep inside the event loop, so reject them here.
+        rate = self.arrival_rate_qps
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(
+                f"arrival_rate_qps must be finite and positive, got {rate!r}"
+            )
         if self.burst_size < 1:
             raise ValueError("burst_size must be >= 1")
         if self.max_mpl is not None and self.max_mpl < 1:
             raise ValueError("max_mpl must be >= 1 (or None)")
-        if self.think_time_s < 0:
-            raise ValueError("think_time_s must be non-negative")
+        think = self.think_time_s
+        if not (math.isfinite(think) and think >= 0):
+            raise ValueError(
+                f"think_time_s must be finite and non-negative, got {think!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from repro.mdhf.routing import QueryPlan
 from repro.sim.buffer import BufferManager
 from repro.sim.config import SimulationParameters
 from repro.sim.cpu import ProcessingNode
-from repro.sim.database import SimulatedDatabase, SubqueryWork
-from repro.sim.disk import Disk
+from repro.sim.database import SubqueryWork
 from repro.sim.engine import Environment, Event
 from repro.sim.network import Network, receive_instructions, send_instructions
 
@@ -42,10 +41,18 @@ class _IOAccumulator:
 
 
 class QueryExecutor:
-    """Executes one routed query on the simulated system."""
+    """Executes one routed query on the simulated system.
+
+    ``work`` is the query's task list: the
+    :class:`~repro.sim.database.SubqueryWork` units of its plan in
+    allocation order, as a lazy expansion or a kept tuple.
+    ``disk_reads`` and ``disk_batches`` are every disk's bound
+    ``read_validated`` and ``read_batch``, bound once per run and shared
+    by all of its queries.
+    """
 
     __slots__ = (
-        "env", "database", "plan", "nodes", "network", "buffers",
+        "env", "work", "nodes", "network", "buffers",
         "params", "io", "_small", "_small_delay", "_recv_cost",
         "_finish_cost", "_bitmap_page_cost", "_row_cost", "_read_page_cost",
         "_parallel_bitmap_io", "coordinator_id", "_coordinator",
@@ -56,28 +63,27 @@ class QueryExecutor:
     def __init__(
         self,
         env: Environment,
-        database: SimulatedDatabase,
-        plan: QueryPlan,
+        work: Iterable[SubqueryWork],
         nodes: list[ProcessingNode],
-        disks: list[Disk],
+        disk_reads: list[Callable[..., Event]],
+        disk_batches: list[Callable[..., Event]],
         network: Network,
         buffers: list[BufferManager],
         rng: random.Random,
-        params: SimulationParameters | None = None,
+        params: SimulationParameters,
     ):
         self.env = env
-        self.database = database
-        self.plan = plan
+        self.work = work
         self.nodes = nodes
         self.network = network
         self.buffers = buffers
         # Scheduling knobs come from the *simulator's* parameters, not
         # the database's: a cached SimulatedDatabase may be shared by
         # run points that differ in node count, task limit or seed.
-        self.params = params if params is not None else database.params
+        self.params = params
         self.io = _IOAccumulator()
-        costs = self.params.cpu_costs
-        small = self.params.network.small_message_bytes
+        costs = params.cpu_costs
+        small = params.network.small_message_bytes
         self._small = small
         self._small_delay = network.transfer_seconds(small)
         self._recv_cost = receive_instructions(costs, small)
@@ -88,7 +94,7 @@ class QueryExecutor:
         self._bitmap_page_cost = costs.process_bitmap_page
         self._row_cost = costs.extract_table_row + costs.aggregate_table_row
         self._read_page_cost = costs.read_page
-        self._parallel_bitmap_io = self.params.parallel_bitmap_io
+        self._parallel_bitmap_io = params.parallel_bitmap_io
 
         self.coordinator_id = rng.randrange(len(nodes))
         self._coordinator = nodes[self.coordinator_id]
@@ -98,12 +104,11 @@ class QueryExecutor:
         self._free_nodes = 0
         self._active = 0
         self._wake: Event | None = None
-        #: Pre-bound read_validated of every disk: the subquery loops
-        #: index this list instead of re-binding the method per read.
-        self._disk_read = [disk.read_validated for disk in disks]
-        #: Pre-bound read_batch: parallel bitmap reads hitting the same
-        #: disk fuse into one request batch with one completion event.
-        self._disk_batch = [disk.read_batch for disk in disks]
+        #: The subquery loops index these lists instead of re-binding a
+        #: disk method per read; parallel bitmap reads hitting the same
+        #: disk fuse into one read_batch with one completion event.
+        self._disk_read = disk_reads
+        self._disk_batch = disk_batches
 
     # -- coordinator ---------------------------------------------------------
 
@@ -122,7 +127,7 @@ class QueryExecutor:
         self._slots_free[self.coordinator_id] = max(t - 1, 1 if n_nodes == 1 else 0)
         self._free_nodes = sum(1 for slots in self._slots_free if slots > 0)
 
-        work_iter = self.database.iter_subquery_work(self.plan)
+        work_iter = iter(self.work)
         next_work = next(work_iter, None)
         cursor = 0
         send_cost = costs.initiate_subquery + send_instructions(costs, small)

@@ -10,7 +10,8 @@ starting as soon as the previous one has terminated", Section 5).
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from repro.bitmap.catalog import IndexCatalog
 from repro.mdhf.query import StarQuery
@@ -20,7 +21,7 @@ from repro.sim.admission import AdmissionController
 from repro.sim.buffer import BufferManager
 from repro.sim.config import SimulationParameters, WorkloadParameters
 from repro.sim.cpu import ProcessingNode
-from repro.sim.database import SimulatedDatabase
+from repro.sim.database import SimulatedDatabase, SubqueryWork
 from repro.sim.disk import Disk
 from repro.sim.engine import Environment
 from repro.sim.metrics import QueryMetrics, SimulationResult
@@ -67,6 +68,100 @@ def _database_mismatches(
     if db_params.io_coalesce != params.io_coalesce:
         mismatches.append("io_coalesce")
     return mismatches
+
+
+#: Most units one run's :class:`QuerySetup` keeps: work units, plus one
+#: per kept plan.  A unit carrying bitmap reads holds about 1 KiB, so
+#: this is roughly 16 MiB.  Beyond it, new queries are planned and
+#: expanded afresh each time they run.
+QUERY_MEMO_CAP = 1 << 14
+
+
+class QuerySetup:
+    """One run's query setup, memoised across the run's queries.
+
+    A coordinator's task list depends only on the query and the
+    allocation (Section 4.3): the fragments to process, each with its
+    bitmap fragments, in allocation order.  So a run plans each distinct
+    predicate tuple once, and from a query's second sight on keeps its
+    expanded :class:`~repro.sim.database.SubqueryWork` units as a tuple
+    — the same objects, in the same order, that
+    :meth:`~repro.sim.database.SimulatedDatabase.iter_subquery_work`
+    yields.  A query's first sight expands lazily, so a single-query run
+    materialises nothing.  Plans and units together stay within
+    :data:`QUERY_MEMO_CAP`.
+
+    Plans read only a query's predicates, so they key the memo
+    (:class:`~repro.mdhf.query.StarQuery` has no value equality).  Each
+    disk's ``read_validated`` and ``read_batch`` are bound once here and
+    shared by every executor of the run.
+    """
+
+    __slots__ = (
+        "env", "database", "nodes", "network", "buffers", "params",
+        "disk_reads", "disk_batches", "retained", "_records",
+    )
+
+    def __init__(
+        self,
+        env: Environment,
+        database: SimulatedDatabase,
+        disks: list[Disk],
+        nodes: list[ProcessingNode],
+        network: Network,
+        buffers: list[BufferManager],
+        params: SimulationParameters,
+    ):
+        self.env = env
+        self.database = database
+        self.nodes = nodes
+        self.network = network
+        self.buffers = buffers
+        self.params = params
+        self.disk_reads = [disk.read_validated for disk in disks]
+        self.disk_batches = [disk.read_batch for disk in disks]
+        #: Plans plus work units kept, never above QUERY_MEMO_CAP.
+        self.retained = 0
+        #: predicates -> [plan, kept units or None before a repeat].
+        self._records: dict[tuple, list] = {}
+
+    def work(self, query: StarQuery) -> Iterable[SubqueryWork]:
+        """The work units of ``query``, from the memo where possible."""
+        database = self.database
+        key = query.predicates
+        record = self._records.get(key)
+        if record is None:
+            plan = database.plan(query)
+            if self.retained < QUERY_MEMO_CAP:
+                self._records[key] = [plan, None]
+                self.retained += 1
+            return database.iter_subquery_work(plan)
+        plan, units = record
+        if units is not None:
+            return units
+        expansion = database.iter_subquery_work(plan)
+        budget = QUERY_MEMO_CAP - self.retained
+        units = tuple(islice(expansion, budget + 1))
+        if len(units) > budget:
+            # Too large to keep: run the head, then the rest lazily.
+            return chain(units, expansion)
+        record[1] = units
+        self.retained += len(units)
+        return units
+
+    def executor(self, query: StarQuery, rng: random.Random) -> QueryExecutor:
+        """A coordinator for ``query``, drawing its node from ``rng``."""
+        return QueryExecutor(
+            env=self.env,
+            work=self.work(query),
+            nodes=self.nodes,
+            disk_reads=self.disk_reads,
+            disk_batches=self.disk_batches,
+            network=self.network,
+            buffers=self.buffers,
+            rng=rng,
+            params=self.params,
+        )
 
 
 class ParallelWarehouseSimulator:
@@ -170,21 +265,13 @@ class ParallelWarehouseSimulator:
             for manager in buffers:
                 manager.assume_distinct_accesses()
         rng = random.Random(params.seed)
+        setup = QuerySetup(
+            env, self.database, disks, nodes, network, buffers, params
+        )
 
         result = SimulationResult(retention=params.record_retention)
         for query in queries:
-            plan = self.database.plan(query)
-            executor = QueryExecutor(
-                env=env,
-                database=self.database,
-                plan=plan,
-                nodes=nodes,
-                disks=disks,
-                network=network,
-                buffers=buffers,
-                rng=rng,
-                params=params,
-            )
+            executor = setup.executor(query, rng)
             start = env.now
             process = env.process(executor.body())
             env.run_until_event(process.done)
@@ -230,22 +317,17 @@ class ParallelWarehouseSimulator:
         params = self.params
         env = Environment()
         disks, nodes, network, buffers = self._fresh_system(env)
+        setup = QuerySetup(
+            env, self.database, disks, nodes, network, buffers, params
+        )
 
         result = SimulationResult(retention=params.record_retention)
 
         def stream_body(stream_id: int, queries: Sequence[StarQuery]):
             for q_index, query in enumerate(queries):
-                plan = self.database.plan(query)
-                executor = QueryExecutor(
-                    env=env,
-                    database=self.database,
-                    plan=plan,
-                    nodes=nodes,
-                    disks=disks,
-                    network=network,
-                    buffers=buffers,
-                    rng=derive_rng(params.seed, "multiuser", stream_id, q_index),
-                    params=params,
+                executor = setup.executor(
+                    query,
+                    derive_rng(params.seed, "multiuser", stream_id, q_index),
                 )
                 start = env.now
                 process = env.process(executor.body())
@@ -366,32 +448,31 @@ class ParallelWarehouseSimulator:
         env = Environment()
         disks, nodes, network, buffers = self._fresh_system(env)
         controller = AdmissionController(env, workload.max_mpl)
+        setup = QuerySetup(
+            env, self.database, disks, nodes, network, buffers, params
+        )
 
         result = SimulationResult(retention=params.record_retention)
         completed_sessions = 0
 
         def session_body(session_id: int, queries: Sequence[StarQuery]):
             nonlocal completed_sessions
-            think_rng = derive_rng(params.seed, "think", session_id)
+            # Derived at the first pause: single-query sessions never
+            # draw a think time, and the derivation is a pure function
+            # of its salt, so the draws are the same either way.
+            think_rng = None
             for q_index, query in enumerate(queries):
                 if q_index and workload.think_time_s:
+                    if think_rng is None:
+                        think_rng = derive_rng(params.seed, "think", session_id)
                     pause = think_time_draw(think_rng, workload.think_time_s)
                     if pause:
                         yield env.timeout(pause)
                 arrived = env.now
                 yield controller.request()
                 admitted = env.now
-                plan = self.database.plan(query)
-                executor = QueryExecutor(
-                    env=env,
-                    database=self.database,
-                    plan=plan,
-                    nodes=nodes,
-                    disks=disks,
-                    network=network,
-                    buffers=buffers,
-                    rng=derive_rng(params.seed, "open", session_id, q_index),
-                    params=params,
+                executor = setup.executor(
+                    query, derive_rng(params.seed, "open", session_id, q_index)
                 )
                 process = env.process(executor.body())
                 yield process.done

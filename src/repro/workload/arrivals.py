@@ -28,6 +28,7 @@ across platforms, processes and scheduling-order refactors.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -66,8 +67,10 @@ class ArrivalProcess:
                 f"unknown arrival process {self.kind!r}; "
                 f"known: {list(ARRIVAL_KINDS)}"
             )
-        if self.rate_qps <= 0:
-            raise ValueError("rate_qps must be positive")
+        if not (math.isfinite(self.rate_qps) and self.rate_qps > 0):
+            raise ValueError(
+                f"rate_qps must be finite and positive, got {self.rate_qps!r}"
+            )
         if self.burst_size < 1:
             raise ValueError("burst_size must be >= 1")
 

@@ -5,7 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sim.config import DiskParameters, SimulationParameters
+from repro.sim.config import (
+    DiskParameters,
+    SimulationParameters,
+    WorkloadParameters,
+)
 from repro.sim.disk import Disk
 from repro.sim.engine import Environment
 
@@ -34,6 +38,33 @@ class TestValidation:
             SimulationParameters().with_hardware(n_nodes=0)
         with pytest.raises(ValueError):
             SimulationParameters().with_hardware(subqueries_per_node=0)
+
+
+class TestWorkloadParametersValidation:
+    """NaN and inf knobs are rejected where they are set, naming the
+    field, instead of failing (or running wrongly) inside the event
+    loop: a NaN rate or think time used to surface as a non-finite
+    timeout delay, an infinite think time as a ZeroDivisionError in
+    ``random``, and an infinite rate put every arrival at t = 0."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arrival_rate_qps", math.nan),
+            ("arrival_rate_qps", math.inf),
+            ("arrival_rate_qps", 0.0),
+            ("think_time_s", math.nan),
+            ("think_time_s", math.inf),
+            ("think_time_s", -1.0),
+        ],
+    )
+    def test_bad_knob_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkloadParameters(**{field: value})
+
+    def test_finite_knobs_accepted(self):
+        workload = WorkloadParameters(arrival_rate_qps=1e6, think_time_s=0.0)
+        assert workload.arrival_rate_qps == 1e6
 
 
 class TestDiskParametersValidation:

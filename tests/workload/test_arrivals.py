@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 
 import pytest
@@ -100,6 +101,12 @@ class TestArrivalProcess:
             ArrivalProcess(kind="bursty", burst_size=0)
         with pytest.raises(ValueError, match="count"):
             ArrivalProcess().interarrivals(-1, seed=0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # An infinite rate used to run silently with every gap 0.
+        with pytest.raises(ValueError, match="rate_qps"):
+            ArrivalProcess(rate_qps=rate)
 
 
 class TestArrivalSlices:
