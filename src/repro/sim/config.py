@@ -208,8 +208,18 @@ class SimulationParameters:
             raise ValueError("io_coalesce must be >= 1")
         if self.cluster_factor < 1:
             raise ValueError("cluster_factor must be >= 1")
-        if self.data_skew < 0:
-            raise ValueError("data_skew must be non-negative")
+        # NaN would silently run uniform (``nan > 0`` is false) while
+        # still entering the config hash; inf puts every row on one
+        # fragment.
+        skew = self.data_skew
+        if not (math.isfinite(skew) and skew >= 0):
+            raise ValueError(
+                f"data_skew must be finite and non-negative, got {skew!r}"
+            )
+        if skew > 0 and self.cluster_factor > 1:
+            raise ValueError(
+                "data_skew and cluster_factor cannot be combined (yet)"
+            )
         if self.record_retention not in ("full", "bounded"):
             raise ValueError(
                 "record_retention must be 'full' or 'bounded', "

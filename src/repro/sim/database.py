@@ -3,8 +3,9 @@
 Combines the fragment geometry, bitmap elimination and disk allocation
 into the simulator's view of the database, and expands a routed
 :class:`~repro.mdhf.routing.QueryPlan` into one
-:class:`SubqueryWork` per selected fragment — the unit the scheduler
-assigns to processing nodes (Section 4.3, step 3).
+:class:`SubqueryWork` per selected fragment (or fragment cluster,
+Section 6.3) — the unit the scheduler assigns to processing nodes
+(Section 4.3, step 3).
 
 Expected fractional quantities (hits per fragment, hit granules) are
 spread over the fragment sequence with an error-diffusing integeriser so
@@ -14,7 +15,9 @@ that totals match the analytic model exactly without RNG noise.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -176,11 +179,6 @@ def _spread_count_array(rate: float, n: int) -> np.ndarray:
     return np.diff(targets, prepend=0)
 
 
-def _spread_counts(rate: float, n: int) -> list[int]:
-    """The first ``n`` values of ``_Spreader(rate)``, vectorised."""
-    return _spread_count_array(rate, n).tolist()
-
-
 class SimulatedDatabase:
     """The allocated star schema as seen by the simulator."""
 
@@ -201,10 +199,6 @@ class SimulatedDatabase:
         self._tuples_per_page = schema.tuples_per_page(params.buffer.page_size)
         self._tuples_per_fragment = schema.fact_count / self.geometry.fragment_count
 
-        if params.data_skew > 0 and params.cluster_factor > 1:
-            raise ValueError(
-                "data_skew and cluster_factor cannot be combined (yet)"
-            )
         self._skew_tuples = (
             self._skewed_fragment_tuples() if params.data_skew > 0 else None
         )
@@ -253,130 +247,13 @@ class SimulatedDatabase:
     def fact_pages_per_fragment(self) -> int:
         return self.allocation.fact_pages_per_fragment
 
-    def _bitmap_granule(self) -> int:
+    def _bitmap_granule(self, tuples: float) -> int:
+        """Bitmap prefetch granule for a fragment of ``tuples`` rows."""
         buffer = self.params.buffer
         if not buffer.adaptive_bitmap_prefetch:
             return buffer.prefetch_bitmap_pages
-        raw = self._tuples_per_fragment / 8 / buffer.page_size
+        raw = tuples / 8 / buffer.page_size
         return max(1, min(buffer.prefetch_bitmap_pages, math.ceil(raw)))
-
-    # -- work expansion ---------------------------------------------------------
-
-    def iter_subquery_work(self, plan: QueryPlan) -> Iterator[SubqueryWork]:
-        """Lazily expand a plan into per-fragment subquery work units.
-
-        Yields in fragment-allocation order, matching the paper's task
-        list ("sorted in the order in which the fragments were allocated
-        to disks, so that consecutive subqueries can be expected to
-        access different disks").  With ``cluster_factor > 1`` the unit
-        becomes a cluster of consecutive fragments (Section 6.3).
-        """
-        if self.params.cluster_factor > 1:
-            yield from self._iter_clustered_work(plan)
-            return
-        if self._skew_tuples is not None:
-            yield from self._iter_skewed_work(plan)
-            return
-        buffer = self.params.buffer
-        prefetch = buffer.prefetch_fact_pages
-        pages_per_fragment = self.fact_pages_per_fragment
-        granules_per_fragment = math.ceil(pages_per_fragment / prefetch)
-
-        fragment_ids = plan.fragment_id_array(self.geometry)
-        n_selected = fragment_ids.size
-        if not n_selected:
-            return
-        relevants = _spread_counts(plan.hits_per_fragment, n_selected)
-        if plan.all_rows_relevant:
-            counts = None
-        else:
-            hit_pages = distinct_blocks(
-                round(self._tuples_per_fragment),
-                self._tuples_per_page,
-                plan.hits_per_fragment,
-            )
-            hit_granules = min(
-                float(granules_per_fragment),
-                cardenas(granules_per_fragment, hit_pages),
-            )
-            counts = _spread_counts(hit_granules, n_selected)
-
-        # All fragments share the fragment geometry, so extent lists are
-        # fragment-relative *templates* shared across subqueries; the
-        # handful of distinct hit-granule counts each get one template,
-        # pre-grouped into io_coalesce disk-request batches.
-        coalesce = self.params.io_coalesce
-        full_extents = self._sequential_extents(0, pages_per_fragment, prefetch)
-        full_batches = batch_extents(full_extents, coalesce)
-        spread_batches: dict[
-            int, tuple[list[tuple[list[tuple[int, int]], int]], int]
-        ] = {}
-
-        n_bitmaps = plan.bitmaps_per_fragment
-        allocation = self.allocation
-        fact_disks, fact_starts = allocation.fact_locations(fragment_ids)
-        bitmap_pages_per_fragment = allocation.bitmap_pages_per_fragment
-        bitmap_granule = self._bitmap_granule()
-        bitmap_template = ExtentTemplate(
-            self._sequential_extents(
-                0, bitmap_pages_per_fragment, bitmap_granule
-            )
-        )
-        bitmap_pages_total = n_bitmaps * bitmap_pages_per_fragment
-        if n_bitmaps:
-            located = [
-                allocation.bitmap_locations(index, fragment_ids)
-                for index in range(n_bitmaps)
-            ]
-            # Transpose to one (disks, starts) row per fragment, so the
-            # work units borrow ready-made rows instead of building one
-            # tuple per bitmap read.
-            bitmap_disk_rows = np.stack(
-                [disks for disks, _starts in located], axis=1
-            ).tolist()
-            bitmap_start_rows = np.stack(
-                [starts for _disks, starts in located], axis=1
-            ).tolist()
-
-        fragment_id_list = fragment_ids.tolist()
-        fact_disk_list = fact_disks.tolist()
-        fact_start_list = fact_starts.tolist()
-        empty: list = []
-        for i, fragment_id in enumerate(fragment_id_list):
-            if counts is None:
-                batches = full_batches
-                fact_pages = pages_per_fragment
-            else:
-                count = counts[i]
-                cached = spread_batches.get(count)
-                if cached is None:
-                    template = self._spread_extents(
-                        0,
-                        pages_per_fragment,
-                        prefetch,
-                        granules_per_fragment,
-                        count,
-                    )
-                    cached = (
-                        batch_extents(template, coalesce),
-                        sum(pages for _, pages in template),
-                    )
-                    spread_batches[count] = cached
-                batches, fact_pages = cached
-
-            yield SubqueryWork(
-                fragment_id=fragment_id,
-                fact_disk=fact_disk_list[i],
-                fact_start=fact_start_list[i],
-                fact_batches=batches,
-                fact_pages=fact_pages,
-                bitmap_disks=bitmap_disk_rows[i] if n_bitmaps else empty,
-                bitmap_starts=bitmap_start_rows[i] if n_bitmaps else empty,
-                bitmap_extents=bitmap_template,
-                bitmap_pages_per_read=bitmap_pages_per_fragment,
-                bitmap_pages=bitmap_pages_total,
-                relevant_rows=relevants[i],
-            )
 
     #: Refuse to materialise per-fragment skew arrays beyond this size.
     _SKEW_FRAGMENT_LIMIT = 5_000_000
@@ -389,8 +266,6 @@ class SimulatedDatabase:
         the allocation order.  Totals are normalised to the schema's
         fact count.
         """
-        import numpy as np
-
         n = self.geometry.fragment_count
         if n > self._SKEW_FRAGMENT_LIMIT:
             raise ValueError(
@@ -410,279 +285,252 @@ class SimulatedDatabase:
             tuples[order[:deficit]] += 1
         return tuples
 
-    def _skewed_template(
-        self, tuples: int, plan: QueryPlan
-    ) -> tuple[
-        list[tuple[list[tuple[int, int]], int]],
-        int,
-        int,
-        list[tuple[int, int]],
-        int,
-    ]:
-        """Fragment-population-keyed work template for the skewed path.
+    # -- work expansion ---------------------------------------------------------
 
-        Everything one skewed subquery does — fact batches, page totals,
-        relevant rows, bitmap extents — depends only on the fragment's
-        tuple count (given the plan), not on where the fragment lives.
-        Extents are base-relative, so fragments with equal populations
-        share one template exactly like the uniform path's fragments
-        share theirs.  Returns ``(fact_batches, fact_pages, relevant,
-        bitmap_extents, bitmap_pages_per_fragment)``.
+    def iter_subquery_work(self, plan: QueryPlan) -> Iterator[SubqueryWork]:
+        """Lazily expand a plan into subquery work units.
+
+        Yields in fragment-allocation order, matching the paper's task
+        list ("sorted in the order in which the fragments were allocated
+        to disks, so that consecutive subqueries can be expected to
+        access different disks").  A unit is one selected fragment, or
+        with ``cluster_factor > 1`` the selected fragments of one
+        allocation unit (Section 6.3), whose bitmap fragments are packed
+        into consecutive pages and read as one extent.
+
+        Step 1 gives every fragment its relevant rows and the index of
+        its fact extent template, and every template its bitmap extents
+        and pages per bitmap read.  Uniform fragments spread the plan's
+        expected hits and hit granules over the fragment sequence
+        (:func:`_spread_count_array`); skewed fragments scale them with
+        their own population, one template per distinct population.
+
+        Step 2 emits the units.  A unit's layout — each fragment's start
+        relative to the unit's first fact page (``fact_start``), and its
+        template — fixes its batch list, so units with equal layouts
+        share one list of :class:`~repro.sim.disk.ExtentTemplate`
+        batches, interned by content within one call.
         """
-        buffer = self.params.buffer
-        prefetch = buffer.prefetch_fact_pages
-        pages = math.ceil(tuples / self._tuples_per_page)
-        granules = math.ceil(pages / prefetch) if pages else 0
-
-        if plan.all_rows_relevant:
-            relevant = tuples
-            extents = self._sequential_extents(0, pages, prefetch)
-        else:
-            relevant = round(
-                plan.hits_per_fragment * tuples / self._tuples_per_fragment
-            )
-            hit_pages = (
-                cardenas(pages, relevant) if pages and relevant else 0.0
-            )
-            hit_granules = (
-                round(min(float(granules), cardenas(granules, hit_pages)))
-                if granules and hit_pages
-                else 0
-            )
-            extents = self._spread_extents(
-                0, pages, prefetch, granules, hit_granules
-            )
-
-        extents_b: list[tuple[int, int]] = []
-        fragment_bitmap_pages = 0
-        if plan.bitmaps_per_fragment and tuples:
-            raw_pages = tuples / 8 / buffer.page_size
-            fragment_bitmap_pages = max(1, math.ceil(raw_pages))
-            granule = buffer.prefetch_bitmap_pages
-            if buffer.adaptive_bitmap_prefetch:
-                granule = max(1, min(granule, math.ceil(raw_pages)))
-            extents_b = ExtentTemplate(
-                self._sequential_extents(0, fragment_bitmap_pages, granule)
-            )
-
-        return (
-            batch_extents(extents, self.params.io_coalesce),
-            sum(p for _, p in extents),
-            relevant,
-            extents_b,
-            fragment_bitmap_pages,
-        )
-
-    def _iter_skewed_work(self, plan: QueryPlan) -> Iterator[SubqueryWork]:
-        """Per-fragment expansion with skewed fragment populations.
-
-        Hits scale with each fragment's population (uniformity *within*
-        fragments is kept); I/O geometry follows each fragment's actual
-        page count inside its uniformly reserved extent.  Placements are
-        computed with the vectorised allocation lookups and the
-        per-fragment work comes from population-keyed shared templates
-        (:meth:`_skewed_template`), mirroring the uniform fast path.
-        """
-        assert self._skew_tuples is not None
-        n_bitmaps = plan.bitmaps_per_fragment
-
-        ids = plan.fragment_id_array(self.geometry)
-        if not ids.size:
-            return
-        allocation = self.allocation
-        fact_disks, fact_starts = allocation.fact_locations(ids)
-        id_list = ids.tolist()
-        fact_disk_list = fact_disks.tolist()
-        fact_start_list = fact_starts.tolist()
-        if n_bitmaps:
-            located = [
-                allocation.bitmap_locations(index, ids)
-                for index in range(n_bitmaps)
-            ]
-            bitmap_disk_rows = np.stack(
-                [disks for disks, _starts in located], axis=1
-            ).tolist()
-            bitmap_start_rows = np.stack(
-                [starts for _disks, starts in located], axis=1
-            ).tolist()
-        tuple_counts = self._skew_tuples[ids].tolist()
-
-        empty: list = []
-        templates: dict[int, tuple] = {}
-        for i, fragment_id in enumerate(id_list):
-            tuples = tuple_counts[i]
-            template = templates.get(tuples)
-            if template is None:
-                template = self._skewed_template(tuples, plan)
-                templates[tuples] = template
-            (
-                fact_batches,
-                fact_pages,
-                relevant,
-                extents_b,
-                fragment_bitmap_pages,
-            ) = template
-
-            has_bitmaps = fragment_bitmap_pages > 0
-            yield SubqueryWork(
-                fragment_id=fragment_id,
-                fact_disk=fact_disk_list[i],
-                fact_start=fact_start_list[i],
-                fact_batches=fact_batches,
-                fact_pages=fact_pages,
-                bitmap_disks=bitmap_disk_rows[i] if has_bitmaps else empty,
-                bitmap_starts=bitmap_start_rows[i] if has_bitmaps else empty,
-                bitmap_extents=extents_b,
-                bitmap_pages_per_read=fragment_bitmap_pages,
-                bitmap_pages=fragment_bitmap_pages * n_bitmaps,
-                relevant_rows=relevant,
-            )
-
-    def _iter_clustered_work(self, plan: QueryPlan) -> Iterator[SubqueryWork]:
-        """Cluster-granular expansion: one subquery per fragment cluster.
-
-        The bitmap fragments of the cluster's fragments are packed into
-        consecutive pages and read as one extent — the paper's remedy
-        for bitmap fragments below one page (Section 6.3).
-
-        A cluster's fact extents are its fragments' extent templates
-        (identical to the uniform path's), each shifted by the
-        fragment's start page relative to the cluster's first fact page
-        (``fact_start``).  That layout — the relative starts and the
-        template of every fragment — fixes the cluster's batch list, so
-        clusters with equal layouts share one list of shared
-        :class:`~repro.sim.disk.ExtentTemplate` batches (interned by
-        content within one call), like the uniform path's fragments
-        share theirs.  Cluster bitmap placements come from the
-        allocation's vectorised
-        :meth:`~repro.allocation.placement.DiskAllocation.bitmap_cluster_locations`.
-        """
-        buffer = self.params.buffer
-        prefetch = buffer.prefetch_fact_pages
-        pages_per_fragment = self.fact_pages_per_fragment
-        granules_per_fragment = math.ceil(pages_per_fragment / prefetch)
-
         ids = plan.fragment_id_array(self.geometry)
         n_selected = ids.size
         if not n_selected:
             return
-        relevants = _spread_count_array(plan.hits_per_fragment, n_selected)
-        counts = None
-        if not plan.all_rows_relevant:
-            hit_pages = distinct_blocks(
-                round(self._tuples_per_fragment),
-                self._tuples_per_page,
-                plan.hits_per_fragment,
-            )
-            hit_granules = min(
-                float(granules_per_fragment),
-                cardenas(granules_per_fragment, hit_pages),
-            )
-            counts = _spread_count_array(hit_granules, n_selected)
-
-        allocation = self.allocation
-        fact_disks, fact_starts = allocation.fact_locations(ids)
-        units = ids // self.params.cluster_factor
-        # Group boundaries: consecutive runs of equal allocation unit.
-        boundaries = np.flatnonzero(np.diff(units)) + 1
-        group_starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-        group_ends = np.concatenate(
-            (boundaries, np.asarray([n_selected], dtype=np.int64))
-        )
-        sizes = group_ends - group_starts
-
-        # Per-fragment extent templates: the full-scan template, or one
-        # spread template per distinct hit-granule count (the spreader
-        # emits at most two distinct counts per plan).
-        if counts is None:
-            templates = [
-                self._sequential_extents(0, pages_per_fragment, prefetch)
-            ]
-            template_of = np.zeros(n_selected, dtype=np.int64)
-        else:
-            values = np.unique(counts)
-            templates = [
-                self._spread_extents(
-                    0,
-                    pages_per_fragment,
-                    prefetch,
-                    granules_per_fragment,
-                    count,
-                )
-                for count in values.tolist()
-            ]
-            template_of = np.searchsorted(values, counts)
-
-        # One (relative start, template) row per fragment; a cluster's
-        # rows are its layout, and their bytes its interning key.
-        cluster_bases = fact_starts[group_starts]
-        layout_rows = np.stack(
-            (fact_starts - np.repeat(cluster_bases, sizes), template_of),
-            axis=1,
-        )
-
-        relevant_cumsum = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(relevants))
-        )
-        group_relevant = (
-            relevant_cumsum[group_ends] - relevant_cumsum[group_starts]
-        ).tolist()
+        params = self.params
+        prefetch = params.buffer.prefetch_fact_pages
         n_bitmaps = plan.bitmaps_per_fragment
-        if n_bitmaps:
-            bitmap_disk_rows, bitmap_start_rows, cluster_pages = (
-                allocation.bitmap_cluster_locations(
-                    units[group_starts], sizes, n_bitmaps
+        allocation = self.allocation
+
+        # Step 1: per-fragment shape.  ``template_of`` is None when every
+        # fragment shares template 0.
+        template_of = None
+        if self._skew_tuples is None:
+            pages = self.fact_pages_per_fragment
+            granules = math.ceil(pages / prefetch)
+            relevants = _spread_count_array(plan.hits_per_fragment, n_selected)
+            if plan.all_rows_relevant:
+                templates = [self._sequential_extents(0, pages, prefetch)]
+            else:
+                hit_pages = distinct_blocks(
+                    round(self._tuples_per_fragment),
+                    self._tuples_per_page,
+                    plan.hits_per_fragment,
+                )
+                hit_granules = min(
+                    float(granules), cardenas(granules, hit_pages)
+                )
+                # The spreader emits at most two distinct counts per plan.
+                counts, template_of = np.unique(
+                    _spread_count_array(hit_granules, n_selected),
+                    return_inverse=True,
+                )
+                templates = [
+                    self._spread_extents(0, pages, prefetch, granules, count)
+                    for count in counts.tolist()
+                ]
+            bitmap_pages = allocation.bitmap_pages_per_fragment
+            bitmap_extents = ExtentTemplate(
+                self._sequential_extents(
+                    0,
+                    bitmap_pages,
+                    self._bitmap_granule(self._tuples_per_fragment),
                 )
             )
+            bitmaps = [(bitmap_extents, bitmap_pages)] * len(templates)
         else:
-            cluster_pages = [0] * group_starts.size
-
-        coalesce = self.params.io_coalesce
-        layouts: dict[bytes, tuple[list, int]] = {}
-        shared_batches: dict[tuple, tuple[ExtentTemplate, int]] = {}
-        empty: list = []
-        for g, (lo, hi, fragment_id, fact_disk, base, selected) in enumerate(
-            zip(
-                group_starts.tolist(),
-                group_ends.tolist(),
-                ids[group_starts].tolist(),
-                fact_disks[group_starts].tolist(),
-                cluster_bases.tolist(),
-                sizes.tolist(),
+            # Hits scale with each fragment's population (uniformity
+            # *within* fragments is kept); I/O follows its actual page
+            # count inside its reserved slot.
+            populations, template_of = np.unique(
+                self._skew_tuples[ids], return_inverse=True
             )
-        ):
-            rows = layout_rows[lo:hi]
-            key = rows.tobytes()
+            templates, relevant_of, bitmaps = [], [], []
+            for tuples in populations.tolist():
+                pages = math.ceil(tuples / self._tuples_per_page)
+                granules = math.ceil(pages / prefetch)
+                if plan.all_rows_relevant:
+                    relevant = tuples
+                    extents = self._sequential_extents(0, pages, prefetch)
+                else:
+                    relevant = round(
+                        plan.hits_per_fragment * tuples
+                        / self._tuples_per_fragment
+                    )
+                    hit_pages = (
+                        cardenas(pages, relevant) if pages and relevant else 0.0
+                    )
+                    hits = (
+                        round(min(granules, cardenas(granules, hit_pages)))
+                        if hit_pages
+                        else 0
+                    )
+                    extents = self._spread_extents(
+                        0, pages, prefetch, granules, hits
+                    )
+                templates.append(extents)
+                relevant_of.append(relevant)
+                bitmap_pages = 0
+                bitmap_extents: list[tuple[int, int]] = []
+                if n_bitmaps and tuples:
+                    raw_pages = tuples / 8 / params.buffer.page_size
+                    bitmap_pages = max(1, math.ceil(raw_pages))
+                    bitmap_extents = ExtentTemplate(
+                        self._sequential_extents(
+                            0, bitmap_pages, self._bitmap_granule(tuples)
+                        )
+                    )
+                bitmaps.append((bitmap_extents, bitmap_pages))
+            relevants = np.asarray(relevant_of, dtype=np.int64)[template_of]
+
+        # Step 2: per-unit emission, one row of unit values each.
+        empty: list = []
+        fact_disks, fact_starts = allocation.fact_locations(ids)
+        if params.cluster_factor == 1:
+            # Single-fragment units iterate plain per-fragment lists; a
+            # unit's layout key is its template index.  The lists replace
+            # their arrays before the bitmap rows are built, so no
+            # per-fragment array outlives its list.
+            relevants = relevants.tolist()
+            template_of = (
+                repeat(0) if template_of is None else template_of.tolist()
+            )
+            if n_bitmaps:
+                located = [
+                    allocation.bitmap_locations(index, ids)
+                    for index in range(n_bitmaps)
+                ]
+                # Transpose to one (disks, starts) row per fragment, so the
+                # work units borrow ready-made rows instead of building one
+                # tuple per bitmap read.
+                bitmap_disk_rows = np.stack(
+                    [disks for disks, _starts in located], axis=1
+                ).tolist()
+                bitmap_start_rows = np.stack(
+                    [starts for _disks, starts in located], axis=1
+                ).tolist()
+            else:
+                bitmap_disk_rows = bitmap_start_rows = repeat(empty)
+            units = zip(
+                ids.tolist(),
+                fact_disks.tolist(),
+                fact_starts.tolist(),
+                template_of,
+                relevants,
+                bitmap_disk_rows,
+                bitmap_start_rows,
+            )
+        else:
+            # Clusters are consecutive runs of equal allocation unit; a
+            # cluster's (relative start, template) rows are its layout,
+            # and their bytes its key.
+            cluster_of = ids // params.cluster_factor
+            boundaries = np.flatnonzero(np.diff(cluster_of)) + 1
+            firsts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
+            ends = np.append(boundaries, n_selected)
+            sizes = ends - firsts
+            bases = fact_starts[firsts]
+            layout_rows = np.stack(
+                (
+                    fact_starts - np.repeat(bases, sizes),
+                    np.zeros(n_selected, dtype=np.int64)
+                    if template_of is None
+                    else template_of,
+                ),
+                axis=1,
+            )
+            relevant_cumsum = np.concatenate(
+                (np.zeros(1, dtype=np.int64), np.cumsum(relevants))
+            )
+            # Packed cluster bitmap extents depend only on the number of
+            # selected fragments; ``bitmaps`` is keyed by it.
+            bitmaps = defaultdict(lambda: (empty, 0))
+            if n_bitmaps:
+                bitmap_disk_rows, bitmap_start_rows, cluster_pages = (
+                    allocation.bitmap_cluster_locations(
+                        cluster_of[firsts], sizes, n_bitmaps
+                    )
+                )
+                for size, pages in zip(sizes.tolist(), cluster_pages):
+                    bitmaps[size] = ([(0, pages)], pages)
+            else:
+                bitmap_disk_rows = bitmap_start_rows = repeat(empty)
+            units = zip(
+                ids[firsts].tolist(),
+                fact_disks[firsts].tolist(),
+                bases.tolist(),
+                (
+                    layout_rows[lo:hi].tobytes()
+                    for lo, hi in zip(firsts.tolist(), ends.tolist())
+                ),
+                (relevant_cumsum[ends] - relevant_cumsum[firsts]).tolist(),
+                bitmap_disk_rows,
+                bitmap_start_rows,
+            )
+
+        coalesce = params.io_coalesce
+        layouts: dict[int | bytes, tuple] = {}
+        shared_batches: dict[tuple, tuple[ExtentTemplate, int]] = {}
+        for (
+            fragment_id, fact_disk, base, key, relevant, disk_row, start_row
+        ) in units:
             layout = layouts.get(key)
             if layout is None:
+                if isinstance(key, bytes):
+                    rows = np.frombuffer(key, dtype=np.int64).reshape(-1, 2)
+                    rows = rows.tolist()
+                    bitmap_extents, bitmap_pages = bitmaps[len(rows)]
+                else:
+                    rows = [(0, key)]
+                    bitmap_extents, bitmap_pages = bitmaps[key]
                 extents = [
                     (start + offset, pages)
-                    for start, index in rows.tolist()
+                    for start, index in rows
                     for offset, pages in templates[index]
                 ]
-                fact_batches = [
-                    shared_batches.setdefault(tuple(batch), (batch, total))
-                    for batch, total in batch_extents(extents, coalesce)
-                ]
                 layout = layouts[key] = (
-                    fact_batches,
+                    [
+                        shared_batches.setdefault(tuple(batch), (batch, total))
+                        for batch, total in batch_extents(extents, coalesce)
+                    ],
                     sum(pages for _start, pages in extents),
+                    bitmap_extents,
+                    bitmap_pages,
+                    len(rows),
                 )
-            fact_batches, fact_pages = layout
-            pages = cluster_pages[g]
+            batches, fact_pages, bitmap_extents, bitmap_pages, count = layout
+            has_bitmaps = n_bitmaps and bitmap_pages
             yield SubqueryWork(
                 fragment_id=fragment_id,
                 fact_disk=fact_disk,
                 fact_start=base,
-                fact_batches=fact_batches,
+                fact_batches=batches,
                 fact_pages=fact_pages,
-                bitmap_disks=bitmap_disk_rows[g] if n_bitmaps else empty,
-                bitmap_starts=bitmap_start_rows[g] if n_bitmaps else empty,
-                bitmap_extents=[(0, pages)] if n_bitmaps else empty,
-                bitmap_pages_per_read=pages,
-                bitmap_pages=pages * n_bitmaps,
-                relevant_rows=group_relevant[g],
-                fragment_count=selected,
+                bitmap_disks=disk_row if has_bitmaps else empty,
+                bitmap_starts=start_row if has_bitmaps else empty,
+                bitmap_extents=bitmap_extents,
+                bitmap_pages_per_read=bitmap_pages,
+                bitmap_pages=bitmap_pages * n_bitmaps,
+                relevant_rows=relevant,
+                fragment_count=count,
             )
 
     @staticmethod

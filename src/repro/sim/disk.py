@@ -14,7 +14,7 @@ so the head travels shorter distances.
 A request of several extents is priced as the seek from the head to its
 first extent plus a *tail*: every later extent's service term (seek,
 settle, transfer) and its seek.  Only the first seek depends on where
-the head is.  The work expanders hand out shared, base-relative
+the head is.  The work expander hands out shared, base-relative
 :class:`ExtentTemplate` objects, and a template's tail is prepared once,
 at its first pricing, and stored on the template for the pricing disk's
 :class:`DiskParameters`.  Pricing then folds the prepared terms left to
@@ -60,7 +60,7 @@ VECTOR_MIN_EXTENTS = 32
 class ExtentTemplate(list):
     """A shared, base-relative list of ``(offset, pages)`` extents.
 
-    The work expanders build one per distinct request layout and let
+    The work expander builds one per distinct request layout and lets
     many requests read it against different base pages.  ``tail`` holds
     the pricing tail a :class:`Disk` prepared for it (see
     :meth:`Disk._tail`), tagged with that disk's

@@ -1,7 +1,7 @@
 """Clustered/skewed fast-path invariants (behaviour-preserving claims).
 
-The clustered and skewed work expansions hand out shared base-relative
-extent templates (equal cluster layouts share one batch list), bitmap
+The work expansion hands out shared base-relative extent templates
+(equal unit layouts share one batch list), bitmap
 reads are stored structure-of-arrays and probed in bulk
 (``BufferPool.probe_many``), and the counting-only shortcut extends to
 multi-fragment clustered single-query runs.  Each optimisation is only
@@ -9,7 +9,7 @@ valid because of the invariants pinned here: probe parity with the
 scalar loop, packed-key disk validation, drift-free spreader totals,
 pairwise-distinct extent accesses under clustering/skew, end-to-end
 metric equality with the un-shortcut buffer path, and equality of the
-clustered expansion with a per-fragment reference.
+uniform, clustered and skewed expansions with a per-fragment reference.
 """
 
 import math
@@ -26,7 +26,7 @@ from repro.sim.config import SimulationParameters
 from repro.sim.database import (
     SimulatedDatabase,
     _Spreader,
-    _spread_counts,
+    _spread_count_array,
 )
 from repro.sim.disk import ExtentTemplate
 from repro.sim.simulator import ParallelWarehouseSimulator
@@ -185,7 +185,7 @@ class TestSpreaderExactTotals:
 
     @pytest.mark.parametrize("total,n", DRIFT_CASES)
     def test_vectorised_counts_sum_to_total(self, total, n):
-        assert sum(_spread_counts(total / n, n)) == total
+        assert sum(_spread_count_array(total / n, n).tolist()) == total
 
     @pytest.mark.parametrize(
         "rate", [0.0, 0.4, 1.0, 7.25, 112.5, 3.999999, 18_474.0000001]
@@ -193,15 +193,15 @@ class TestSpreaderExactTotals:
     def test_vector_matches_scalar_sequence(self, rate):
         n = 513
         spreader = _Spreader(rate)
-        assert _spread_counts(rate, n) == [
+        assert _spread_count_array(rate, n).tolist() == [
             spreader.next() for _ in range(n)
         ]
 
     def test_moderate_rates_unchanged_by_relative_epsilon(self):
         # The relative term must not promote legitimately fractional
         # targets: classic small-rate sequences stay identical.
-        assert _spread_counts(112.5, 10) == [112, 113] * 5
-        assert sum(_spread_counts(0.37, 1000)) == 370
+        assert _spread_count_array(112.5, 10).tolist() == [112, 113] * 5
+        assert sum(_spread_count_array(0.37, 1000).tolist()) == 370
 
 
 # ---------------------------------------------------------------------
@@ -397,100 +397,306 @@ class TestWorkStructureOfArrays:
         works = list(database.iter_subquery_work(plan))
         assert sum(w.fragment_count for w in works) == plan.fragment_count
         assert sum(w.relevant_rows for w in works) == sum(
-            _spread_counts(plan.hits_per_fragment, plan.fragment_count)
+            _spread_count_array(
+                plan.hits_per_fragment, plan.fragment_count
+            ).tolist()
         )
 
 
 # ---------------------------------------------------------------------
-# Clustered expansion: base-relative, shared batch layouts
+# Work expansion against a per-fragment reference: uniform, clustered
+# and skewed databases, with base-relative, shared batch layouts
 # ---------------------------------------------------------------------
 
 
-def _reference_clusters(database, plan):
-    """Per-fragment expansion, grouped into clusters the plain way.
+def _reference_units(database, plan):
+    """Per-fragment expansion built the plain way, one dict per unit.
 
-    Returns one ``(first fact page, absolute extents)`` pair per
-    cluster: every selected fragment's extents at its own start page,
-    concatenated in fragment order within its allocation unit.
+    Every selected fragment is placed with the scalar
+    ``DiskAllocation.fact_location`` / ``bitmap_location`` (or
+    ``bitmap_cluster_placement`` under clustering) and integerised with
+    the scalar :class:`_Spreader` (uniform populations) or per-fragment
+    ``round`` (skewed populations).  Under clustering, fragments of one
+    allocation unit concatenate into one unit at its first fact page.
+    ``fact_extents`` are absolute; ``layout_key`` names the fragments'
+    shape, which the expander may share one batch list for.
     """
     params = database.params
-    prefetch = params.buffer.prefetch_fact_pages
+    buffer = params.buffer
+    allocation = database.allocation
+    prefetch = buffer.prefetch_fact_pages
+    tuples_per_page = database._tuples_per_page
+    skew = database._skew_tuples
+    n_bitmaps = plan.bitmaps_per_fragment
+    ids = plan.fragment_id_array(database.geometry).tolist()
+
     fragment_pages = database.fact_pages_per_fragment
     granules = math.ceil(fragment_pages / prefetch)
-    ids = plan.fragment_id_array(database.geometry).tolist()
-    counts = None
+    relevant_spreader = _Spreader(plan.hits_per_fragment)
+    hit_spreader = None
     if not plan.all_rows_relevant:
         hit_pages = distinct_blocks(
             round(database._tuples_per_fragment),
-            database._tuples_per_page,
+            tuples_per_page,
             plan.hits_per_fragment,
         )
-        hit_granules = min(float(granules), cardenas(granules, hit_pages))
-        counts = _spread_counts(hit_granules, len(ids))
-    clusters = []
-    unit = None
-    for i, fragment_id in enumerate(ids):
-        _disk, start = database.allocation.fact_location(fragment_id)
-        if counts is None:
-            extents = database._sequential_extents(
-                start, fragment_pages, prefetch
+        hit_spreader = _Spreader(
+            min(float(granules), cardenas(granules, hit_pages))
+        )
+    bitmap_pages = allocation.bitmap_pages_per_fragment
+    bitmap_granule = buffer.prefetch_bitmap_pages
+    if buffer.adaptive_bitmap_prefetch:
+        raw = database._tuples_per_fragment / 8 / buffer.page_size
+        bitmap_granule = max(1, min(bitmap_granule, math.ceil(raw)))
+
+    units = []
+    for fragment_id in ids:
+        disk, start = allocation.fact_location(fragment_id)
+        population = None
+        if skew is None:
+            relevant = relevant_spreader.next()
+            if hit_spreader is None:
+                extents = database._sequential_extents(
+                    start, fragment_pages, prefetch
+                )
+            else:
+                extents = database._spread_extents(
+                    start, fragment_pages, prefetch, granules,
+                    hit_spreader.next(),
+                )
+            read_pages = bitmap_pages
+            read_extents = database._sequential_extents(
+                0, bitmap_pages, bitmap_granule
             )
         else:
-            extents = database._spread_extents(
-                start, fragment_pages, prefetch, granules, counts[i]
-            )
-        if fragment_id // params.cluster_factor != unit:
-            unit = fragment_id // params.cluster_factor
-            clusters.append((start, []))
-        clusters[-1][1].extend(extents)
-    return clusters
+            population = int(skew[fragment_id])
+            pages = math.ceil(population / tuples_per_page)
+            own_granules = math.ceil(pages / prefetch)
+            if plan.all_rows_relevant:
+                relevant = population
+                extents = database._sequential_extents(start, pages, prefetch)
+            else:
+                relevant = round(
+                    plan.hits_per_fragment * population
+                    / database._tuples_per_fragment
+                )
+                hits = 0
+                if pages and relevant:
+                    hit_pages = cardenas(pages, relevant)
+                    hits = round(
+                        min(float(own_granules), cardenas(own_granules, hit_pages))
+                    )
+                extents = database._spread_extents(
+                    start, pages, prefetch, own_granules, hits
+                )
+            read_pages, read_extents = 0, []
+            if n_bitmaps and population:
+                raw = population / 8 / buffer.page_size
+                read_pages = max(1, math.ceil(raw))
+                granule = buffer.prefetch_bitmap_pages
+                if buffer.adaptive_bitmap_prefetch:
+                    granule = max(1, min(granule, math.ceil(raw)))
+                read_extents = database._sequential_extents(
+                    0, read_pages, granule
+                )
+        unit = allocation.unit_of(fragment_id)
+        if not units or unit != units[-1]["unit"] or params.cluster_factor == 1:
+            units.append(dict(
+                unit=unit, fragment_id=fragment_id, fact_disk=disk,
+                fact_start=start, fact_extents=[], relevant_rows=0,
+                fragment_count=0, population=population,
+                bitmap_extents=read_extents, bitmap_pages_per_read=read_pages,
+            ))
+        current = units[-1]
+        current["fact_extents"].extend(extents)
+        current["relevant_rows"] += relevant
+        current["fragment_count"] += 1
+
+    for current in units:
+        reads = []
+        if params.cluster_factor > 1:
+            current["bitmap_pages_per_read"] = 0
+            current["bitmap_extents"] = []
+            for index in range(n_bitmaps):
+                placement = allocation.bitmap_cluster_placement(
+                    index, current["unit"], current["fragment_count"]
+                )
+                reads.append((placement.disk, placement.start_page))
+                current["bitmap_pages_per_read"] = placement.pages
+                current["bitmap_extents"] = [(0, placement.pages)]
+        elif current["bitmap_pages_per_read"]:
+            reads = [
+                allocation.bitmap_location(index, current["fragment_id"])
+                for index in range(n_bitmaps)
+            ]
+        current["bitmap_disks"] = [disk for disk, _start in reads]
+        current["bitmap_starts"] = [start for _disk, start in reads]
+        current["bitmap_pages"] = current["bitmap_pages_per_read"] * n_bitmaps
+        first = current["fact_start"]
+        current["layout_key"] = (
+            tuple((s - first, p) for s, p in current["fact_extents"]),
+            current["population"],
+        )
+    return units
 
 
-class TestClusteredExpansionReference:
+def _assert_matches_reference(database, plan, expect_sharing=True):
+    """Every :class:`SubqueryWork` field equals the per-fragment
+    reference, and equal layouts share one batch-list object."""
+    coalesce = database.params.io_coalesce
+    works = list(database.iter_subquery_work(plan))
+    units = _reference_units(database, plan)
+    assert works and len(works) == len(units)
+
+    by_layout: dict[tuple, list] = {}
+    for work, unit in zip(works, units):
+        extents = unit["fact_extents"]
+        for name in (
+            "fragment_id", "fact_disk", "fact_start", "relevant_rows",
+            "fragment_count", "bitmap_disks", "bitmap_starts",
+            "bitmap_extents", "bitmap_pages_per_read", "bitmap_pages",
+        ):
+            assert getattr(work, name) == unit[name], name
+        assert work.fact_extents == extents
+        assert work.fact_pages == sum(p for _s, p in extents)
+        assert [pages for _batch, pages in work.fact_batches] == [
+            sum(p for _s, p in extents[i : i + coalesce])
+            for i in range(0, len(extents), coalesce)
+        ]
+        by_layout.setdefault(unit["layout_key"], []).append(work.fact_batches)
+
+    # Equal layouts share one batch-list object; that sharing is what
+    # keeps the expansion's memory flat.  (Skewed fragments share by
+    # population, so the key carries it.)
+    if expect_sharing:
+        assert any(len(lists) > 1 for lists in by_layout.values())
+    for lists in by_layout.values():
+        assert all(batches is lists[0] for batches in lists)
+    assert len({id(lists[0]) for lists in by_layout.values()}) == len(
+        by_layout
+    )
+
+
+def _reference_database(
+    fragmentation=("time::month", "product::group"),
+    density=1.0,
+    buffer=None,
+    **overrides,
+):
     """Fragments spanning several granules (400-byte tuples, 2-page
     granules) and batches of 3 extents, so batches straddle fragment
     boundaries and clusters differ in layout."""
+    schema = tiny_schema(density=density, tuple_size_bytes=400)
+    base = _tiny_params()
+    params = replace(
+        base,
+        io_coalesce=3,
+        buffer=replace(base.buffer, prefetch_fact_pages=2, **(buffer or {})),
+        **overrides,
+    )
+    database = SimulatedDatabase(
+        schema, Fragmentation.parse(*fragmentation), params
+    )
+    return schema, database
 
-    @pytest.mark.parametrize("cluster_factor", [2, 8, 32])
+
+class TestClusteredExpansionReference:
+    @pytest.mark.parametrize("cluster_factor", [1, 2, 8, 32])
     @pytest.mark.parametrize("query_name", ["1STORE", "1QUARTER"])
     def test_matches_per_fragment_reference(self, cluster_factor, query_name):
-        schema = tiny_schema(density=1.0, tuple_size_bytes=400)
-        base = _tiny_params()
-        params = replace(
-            base,
+        schema, database = _reference_database(cluster_factor=cluster_factor)
+        query = query_type(query_name).instantiate(schema, random.Random(0))
+        plan = database.plan(query)
+        # One selective query with bitmaps, one full scan without.
+        assert plan.all_rows_relevant == (query_name == "1QUARTER")
+        assert bool(plan.bitmaps_per_fragment) == (query_name == "1STORE")
+        _assert_matches_reference(database, plan)
+
+    @pytest.mark.parametrize("cluster_factor", [1, 2])
+    def test_two_bitmaps_per_fragment(self, cluster_factor):
+        schema, database = _reference_database(
+            ("customer::retailer", "channel::channel"),
             cluster_factor=cluster_factor,
-            io_coalesce=3,
-            buffer=replace(base.buffer, prefetch_fact_pages=2),
         )
-        database = SimulatedDatabase(
-            schema, Fragmentation.parse("time::month", "product::group"),
-            params,
+        query = query_type("1MONTH1GROUP").instantiate(
+            schema, random.Random(0)
+        )
+        plan = database.plan(query)
+        assert plan.bitmaps_per_fragment == 2
+        _assert_matches_reference(database, plan)
+
+
+class TestMultiPageBitmapReference:
+    """512-byte pages and a one-page bitmap granule: every bitmap
+    fragment spans two pages, read as two extents (one packed extent
+    per cluster)."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"cluster_factor": 2}, {"data_skew": 0.5}],
+        ids=["uniform", "clustered", "skewed"],
+    )
+    def test_matches_per_fragment_reference(self, overrides):
+        schema, database = _reference_database(
+            ("customer::retailer", "channel::channel"),
+            buffer={"page_size": 512, "prefetch_bitmap_pages": 1},
+            **overrides,
+        )
+        query = query_type("1MONTH1GROUP").instantiate(
+            schema, random.Random(0)
+        )
+        plan = database.plan(query)
+        assert plan.bitmaps_per_fragment == 2
+        works = list(database.iter_subquery_work(plan))
+        assert max(len(work.bitmap_extents) for work in works) == (
+            1 if "cluster_factor" in overrides else 2
+        )
+        # Eight fragments of distinct skewed populations share nothing.
+        _assert_matches_reference(
+            database, plan, expect_sharing="data_skew" not in overrides
+        )
+
+
+class TestSkewedExpansionReference:
+    """Skewed populations: each fragment's own page count, hit rows and
+    bitmap pages inside its reserved slot.  At a quarter of the tiny
+    schema's density, the fine fragmentation leaves most fragments
+    empty at skew 1.0."""
+
+    FINE = ("customer::store", "time::month", "product::group")
+
+    @pytest.mark.parametrize("skew", [0.5, 1.0])
+    @pytest.mark.parametrize(
+        "fragmentation,density",
+        [(("time::month", "product::group"), 1.0), (FINE, 0.25)],
+        ids=["month_group", "store_month_group"],
+    )
+    @pytest.mark.parametrize("query_name", ["1CODE", "1QUARTER"])
+    def test_matches_per_fragment_reference(
+        self, skew, fragmentation, density, query_name
+    ):
+        schema, database = _reference_database(
+            fragmentation, density, data_skew=skew
         )
         query = query_type(query_name).instantiate(schema, random.Random(0))
         plan = database.plan(query)
-        # One selective and one full-scan query.
-        assert plan.all_rows_relevant == (query_name == "1QUARTER")
-        works = list(database.iter_subquery_work(plan))
-        clusters = _reference_clusters(database, plan)
-        assert len(works) == len(clusters)
+        assert bool(plan.bitmaps_per_fragment) == (query_name == "1CODE")
+        _assert_matches_reference(database, plan)
 
-        by_layout: dict[tuple, list] = {}
-        for work, (first_page, extents) in zip(works, clusters):
-            assert work.fact_start == first_page
-            assert work.fact_extents == extents
-            assert work.fact_pages == sum(p for _s, p in extents)
-            assert [pages for _batch, pages in work.fact_batches] == [
-                sum(p for _s, p in extents[i : i + 3])
-                for i in range(0, len(extents), 3)
-            ]
-            layout = tuple((s - first_page, p) for s, p in extents)
-            by_layout.setdefault(layout, []).append(work.fact_batches)
-
-        # Equal relative layouts share one batch-list object; that
-        # sharing is what keeps the expansion's memory flat.
-        assert any(len(lists) > 1 for lists in by_layout.values())
-        for lists in by_layout.values():
-            assert all(batches is lists[0] for batches in lists)
-        assert len({id(lists[0]) for lists in by_layout.values()}) == len(
-            by_layout
+    def test_empty_fragments_read_nothing(self):
+        schema, database = _reference_database(
+            self.FINE, 0.25, data_skew=1.0
         )
+        query = query_type("1CODE").instantiate(schema, random.Random(0))
+        plan = database.plan(query)
+        ids = plan.fragment_id_array(database.geometry)
+        works = list(database.iter_subquery_work(plan))
+        empty = [
+            work for work, population in zip(works, database._skew_tuples[ids])
+            if not population
+        ]
+        assert empty and plan.bitmaps_per_fragment
+        for work in empty:
+            assert work.fact_batches == [] and work.fact_pages == 0
+            assert work.bitmap_disks == [] and work.bitmap_pages == 0
+            assert work.relevant_rows == 0

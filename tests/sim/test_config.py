@@ -25,6 +25,9 @@ class TestValidation:
             ("io_coalesce", 0),
             ("cluster_factor", 0),
             ("data_skew", -1.0),
+            ("data_skew", math.nan),
+            ("data_skew", math.inf),
+            ("data_skew", -math.inf),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

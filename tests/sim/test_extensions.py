@@ -133,10 +133,12 @@ class TestFragmentClustering:
         with pytest.raises(ValueError):
             replace(SimulationParameters(), cluster_factor=0)
 
-    def test_cluster_and_skew_exclusive(self, tiny, tiny_frag):
-        params = tiny_params(cluster_factor=2, data_skew=0.5)
-        with pytest.raises(ValueError, match="cannot be combined"):
-            SimulatedDatabase(tiny, tiny_frag, params)
+    def test_cluster_and_skew_exclusive(self):
+        # Rejected when the parameters are built, naming both fields.
+        with pytest.raises(
+            ValueError, match="data_skew and cluster_factor cannot be combined"
+        ):
+            tiny_params(cluster_factor=2, data_skew=0.5)
 
 
 class TestDataSkew:

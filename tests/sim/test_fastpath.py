@@ -18,7 +18,11 @@ from repro.mdhf.spec import Fragmentation
 from repro.schema.apb1 import tiny_schema
 from repro.sim.buffer import BufferPool
 from repro.sim.config import DiskParameters, SimulationParameters
-from repro.sim.database import SimulatedDatabase, _Spreader, _spread_counts
+from repro.sim.database import (
+    SimulatedDatabase,
+    _Spreader,
+    _spread_count_array,
+)
 from repro.sim.disk import Disk
 from repro.sim.engine import Environment
 from repro.sim.simulator import ParallelWarehouseSimulator
@@ -234,7 +238,7 @@ class TestSpreadCounts:
         n = 257
         spreader = _Spreader(rate)
         expected = [spreader.next() for _ in range(n)]
-        assert _spread_counts(rate, n) == expected
+        assert _spread_count_array(rate, n).tolist() == expected
 
 
 class TestDistinctAccessInvariant:

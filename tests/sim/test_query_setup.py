@@ -29,7 +29,7 @@ def tiny_params(**extra):
     return replace(params, **extra)
 
 
-#: Uniform, skewed and clustered databases: the three work expanders.
+#: Uniform, skewed and clustered databases: the three expansion shapes.
 DATABASES = {
     "uniform": {},
     "skewed": {"data_skew": 0.8},
