@@ -9,7 +9,7 @@ grouped at the end and documented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,17 @@ class CpuCosts:
     #: Instructions per message byte on top of the base cost.
     per_message_byte: int = 1
 
+    def __post_init__(self) -> None:
+        # A negative count would only fail later, inside a CPU burst
+        # (or, for per-page costs, never).
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{spec.name} must be finite and non-negative, "
+                    f"got {value!r}"
+                )
+
 
 @dataclass(frozen=True)
 class NetworkParameters:
@@ -65,6 +76,18 @@ class NetworkParameters:
     bandwidth_bits_per_s: float = 100e6
     small_message_bytes: int = 128
     large_message_bytes: int = 4096
+
+    def __post_init__(self) -> None:
+        bandwidth = self.bandwidth_bits_per_s
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(
+                "bandwidth_bits_per_s must be finite and positive, "
+                f"got {bandwidth!r}"
+            )
+        for name in ("small_message_bytes", "large_message_bytes"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +114,13 @@ class HardwareParameters:
     #: Maximum concurrent subqueries per node ("t"); the coordinator
     #: node runs t-1 because coordination counts as one task.
     subqueries_per_node: int = 4
+
+    def __post_init__(self) -> None:
+        mips = self.cpu_mips
+        if not (math.isfinite(mips) and mips > 0):
+            raise ValueError(
+                f"cpu_mips must be finite and positive, got {mips!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -227,6 +257,14 @@ class SimulationParameters:
             )
         if self.stream_shards < 1:
             raise ValueError("stream_shards must be >= 1")
+        # A cap below one admits no subquery: the coordinator would wait
+        # forever on an empty schedule.
+        cap = self.max_concurrent_subqueries
+        if cap is not None and cap < 1:
+            raise ValueError(
+                "max_concurrent_subqueries must be >= 1 (or None), "
+                f"got {cap!r}"
+            )
 
     def with_hardware(self, **kwargs) -> "SimulationParameters":
         """A copy with hardware fields replaced (d, p, t sweeps)."""

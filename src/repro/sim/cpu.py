@@ -9,12 +9,10 @@ instructions per second.
 from __future__ import annotations
 
 from heapq import heappush
+from typing import Any, Callable
 
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import FifoServer
-
-#: ``Event.__new__``, bound once for the inlined allocation below.
-_EVENT_NEW = Event.__new__
 
 
 class ProcessingNode(FifoServer):
@@ -31,27 +29,31 @@ class ProcessingNode(FifoServer):
         self._per_second = cpu_mips * 1e6
         self.instructions = 0
 
-    def compute(self, instructions: float) -> Event:
+    def compute(
+        self,
+        instructions: float,
+        resume: Callable[[Any], Any] | None = None,
+    ) -> Event | None:
         """Execute ``instructions`` on this node's CPU (FIFO-queued).
 
-        The burst is pre-priced (a CPU's service time does not depend on
-        the moment service starts) and non-negative, so this inlines the
-        float fast path of :meth:`FifoServer.submit` without a closure
-        or re-validation per request.
+        Returns the completion event, or ``None`` when the caller passes
+        a ``resume`` callable to be woken with instead.  The burst is
+        pre-priced (a CPU's service time does not depend on the moment
+        service starts) and non-negative, so this inlines the float
+        fast path of :meth:`FifoServer.submit` without a closure or
+        re-validation per request.
         """
         if instructions < 0:
             raise ValueError("instructions must be non-negative")
         self.instructions += int(instructions)
         duration = instructions / self._per_second
         env = self.env
-        # Event(env), field stores inlined (see disk.read_validated).
-        done = _EVENT_NEW(Event)
-        done.env = env
-        done.callbacks = None
-        done.triggered = False
-        done.value = None
+        if resume is None:
+            waiter = done = Event(env)
+        else:
+            waiter, done = resume, None
         if self._busy:
-            self._queue.append((duration, done, None, env._now))
+            self._queue.append((duration, waiter, None, env._now))
         else:
             self._busy = True
             env._seq = seq = env._seq + 1
@@ -61,10 +63,10 @@ class ProcessingNode(FifoServer):
             if time < env._cal_end:
                 heappush(
                     env._heap,
-                    (time, seq, self._complete_cb, (done, None, duration)),
+                    (time, seq, self._complete_cb, (waiter, None, duration)),
                 )
             else:
                 env._cal_push(
-                    (time, seq, self._complete_cb, (done, None, duration))
+                    (time, seq, self._complete_cb, (waiter, None, duration))
                 )
         return done

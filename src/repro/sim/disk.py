@@ -38,16 +38,13 @@ from __future__ import annotations
 import math
 from heapq import heappush
 from itertools import islice
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.sim.config import DiskParameters
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import FifoServer
-
-#: ``Event.__new__``, bound once for the inlined allocations below.
-_EVENT_NEW = Event.__new__
 
 #: E[sqrt(|x-y|)] for independent uniform x, y on [0, 1].
 _MEAN_SQRT_DISTANCE = 8.0 / 15.0
@@ -158,14 +155,20 @@ class Disk(FifoServer):
         return self.read_validated(list(extents), total_pages)
 
     def read_validated(
-        self, extents: list[tuple[int, int]], total_pages: int, base: int = 0
-    ) -> Event:
+        self,
+        extents: list[tuple[int, int]],
+        total_pages: int,
+        base: int = 0,
+        resume: Callable[[Any], Any] | None = None,
+    ) -> Event | None:
         """Trusted :meth:`read_extents`: extents prechecked, pages presummed.
 
         For callers (the subquery scheduler) that construct the extent
         list themselves and already track its page sum.  ``extents`` may
-        be offsets against ``base`` (shared extent templates).  Queued
-        requests use the flat ``(extents, done, total_pages, enqueued,
+        be offsets against ``base`` (shared extent templates).  Returns
+        the completion event, or ``None`` when the caller passes a
+        ``resume`` callable to be woken with instead.  Queued
+        requests use the flat ``(extents, waiter, total_pages, enqueued,
         base)`` form that :meth:`_complete` hands straight to
         :meth:`_service` — no closure and no nested service tuple per
         request.  This inlines
@@ -175,15 +178,14 @@ class Disk(FifoServer):
         so the negativity check of the generic path is vacuous here).
         """
         env = self.env
-        # Event(env), field stores inlined: no __init__ frame on the
-        # hottest allocation site of bitmap-heavy plans.
-        done = _EVENT_NEW(Event)
-        done.env = env
-        done.callbacks = None
-        done.triggered = False
-        done.value = None
+        if resume is None:
+            waiter = done = Event(env)
+        else:
+            waiter, done = resume, None
         if self._busy:
-            self._queue.append((extents, done, total_pages, env._now, base))
+            self._queue.append(
+                (extents, waiter, total_pages, env._now, base)
+            )
         else:
             self._busy = True
             duration = self._service(extents, base)
@@ -196,18 +198,20 @@ class Disk(FifoServer):
                 heappush(
                     env._heap,
                     (time, seq, self._complete_cb,
-                     (done, total_pages, duration)),
+                     (waiter, total_pages, duration)),
                 )
             else:
                 env._cal_push(
                     (time, seq, self._complete_cb,
-                     (done, total_pages, duration))
+                     (waiter, total_pages, duration))
                 )
         return done
 
     def read_batch(
-        self, requests: list[tuple[list, int, int]]
-    ) -> Event:
+        self,
+        requests: list[tuple[list, int, int]],
+        resume: Callable[[Any], Any] | None = None,
+    ) -> Event | None:
         """Several reads submitted back-to-back, fused into one event.
 
         ``requests`` is a list of ``(extents, total_pages, base)``
@@ -221,18 +225,18 @@ class Disk(FifoServer):
         per-request ``queue_time``/``busy_time`` accumulator additions)
         and triggers one completion event at the last request's
         completion instant.  Only ``event_count`` differs from issuing
-        the requests individually.
+        the requests individually.  With a ``resume`` callable the
+        completion wakes it instead, and this returns ``None``.
         """
         env = self.env
-        done = _EVENT_NEW(Event)
-        done.env = env
-        done.callbacks = None
-        done.triggered = False
-        done.value = None
+        if resume is None:
+            waiter = done = Event(env)
+        else:
+            waiter, done = resume, None
         if self._busy:
             # 3-tuple batch form; _complete dispatches queue entries on
             # their length (5 = flat single read, 4 = generic submit).
-            self._queue.append((requests, done, env._now))
+            self._queue.append((requests, waiter, env._now))
         else:
             self._busy = True
             end, durations, pages = self._price_batch(
@@ -242,11 +246,11 @@ class Disk(FifoServer):
             if end < env._cal_end:
                 heappush(
                     env._heap,
-                    (end, seq, self._complete_cb, (done, pages, durations)),
+                    (end, seq, self._complete_cb, (waiter, pages, durations)),
                 )
             else:
                 env._cal_push(
-                    (end, seq, self._complete_cb, (done, pages, durations))
+                    (end, seq, self._complete_cb, (waiter, pages, durations))
                 )
         return done
 
@@ -286,7 +290,7 @@ class Disk(FifoServer):
 
     def _complete(self, entry) -> None:
         """:meth:`FifoServer._complete` with the disk's flat queued form
-        ``(extents, done, total_pages, enqueued, base)`` priced by a
+        ``(extents, waiter, total_pages, enqueued, base)`` priced by a
         direct :meth:`_service` call (the hot case on saturated disks;
         inlining the single-extent pricing here measured no faster on
         ``monthclass_1store``); 4-tuples from the generic
@@ -294,12 +298,9 @@ class Disk(FifoServer):
         :meth:`FifoServer._price`.  Service times from :meth:`_service`
         are sums of seek, settle and transfer components, which
         :class:`DiskParameters` validates as finite and non-negative,
-        so the generic negativity check is vacuous for them.  The
-        completion event's ``succeed`` is inlined as well: the event is
-        fresh by construction and this method only ever runs during
-        dispatch.
+        so the generic negativity check is vacuous for them.
         """
-        done, value, duration = entry
+        waiter, value, duration = entry
         if duration.__class__ is float:
             self.busy_time += duration
             self.request_count += 1
@@ -314,19 +315,19 @@ class Disk(FifoServer):
         if queue:
             next_entry = queue.popleft()
             if len(next_entry) == 5:
-                extents, next_done, next_value, enqueued, base = next_entry
+                extents, next_waiter, next_value, enqueued, base = next_entry
                 self.queue_time += env._now - enqueued
                 next_duration = self._service(extents, base)
                 time = env._now + next_duration
             elif len(next_entry) == 3:
                 # Queued fused batch: every request waited, so the
                 # first one charges queue_time too.
-                requests, next_done, enqueued = next_entry
+                requests, next_waiter, enqueued = next_entry
                 time, next_duration, next_value = self._price_batch(
                     requests, env._now, enqueued, True
                 )
             else:
-                service, next_done, next_value, enqueued = next_entry
+                service, next_waiter, next_value, enqueued = next_entry
                 self.queue_time += env._now - enqueued
                 next_duration = self._price(service)
                 if next_duration < 0:
@@ -342,35 +343,17 @@ class Disk(FifoServer):
                         time,
                         seq,
                         self._complete_cb,
-                        (next_done, next_value, next_duration),
+                        (next_waiter, next_value, next_duration),
                     ),
                 )
             else:
                 env._cal_push(
                     (time, seq, self._complete_cb,
-                     (next_done, next_value, next_duration))
+                     (next_waiter, next_value, next_duration))
                 )
         else:
             self._busy = False
-        # done.succeed(value), inlined (no triggered re-check: the
-        # event is fresh); _dispatching is True inside a dispatch.
-        done.triggered = True
-        done.value = value
-        callbacks = done.callbacks
-        if callbacks is None:
-            return
-        done.callbacks = None
-        if callbacks.__class__ is list:
-            for callback in callbacks:
-                env._schedule(0.0, callback, value)
-        else:
-            heap = env._heap
-            if not env._ready and (not heap or heap[0][0] > env._now):
-                env.event_count += 1
-                callbacks(value)
-            else:
-                env._seq = seq = env._seq + 1
-                env._ready.append((seq, callbacks, value))
+        env._deliver(waiter, value)
 
     def _service(
         self, extents: Sequence[tuple[int, int]], base: int = 0

@@ -3,9 +3,8 @@
 A minimal, fast substitute for the CSIM library used by the original
 SIMPAD: simulation *processes* are Python generators that ``yield``
 :class:`Event` objects and are resumed when those events trigger.
-Events carry a value; :class:`AllOf` joins several events (used for
-parallel bitmap I/O within a subquery) and triggers with the list of
-its children's values in child order.
+Events carry a value; :class:`AllOf` joins several events and
+triggers with the list of its children's values in child order.
 
 The engine is deliberately small — the behavioural fidelity of the
 simulation lives in the server models (disk, CPU, network), not here.
@@ -21,11 +20,13 @@ exactly.
 middle of the currently-dispatched callback, and running the waiter
 before that callback's remainder inverts the ``(time, seq)`` order of
 anything both sides schedule at the current instant (found by the
-stateful equivalence harness, tests/properties/).  The fused server
-completions in :mod:`repro.sim.disk` / :mod:`repro.sim.resources` do
-keep an inline-succeed tail — there succeed is the dispatched
-callback's *final* action, which makes running the sole waiter
-immediately indistinguishable from dispatching it next.
+stateful equivalence harness, tests/properties/).  Server completions
+and network hops end in :meth:`Environment._deliver` instead: waking
+the request's waiter is the dispatched callback's *final* action, which
+makes running a sole waiter immediately indistinguishable from
+dispatching it next.  A waiter is a fresh :class:`Event` or a plain
+resume callable that a self-driven body (the scheduler's subqueries)
+hands to its requests instead of yielding an Event.
 
 The ready-deque path counts into ``Environment.event_count`` exactly
 as if the callback had travelled through the heap, so event statistics
@@ -160,11 +161,7 @@ class AllOf(Event):
     __slots__ = ("_pending", "_events")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        # super().__init__(env), field stores inlined (hot path).
-        self.env = env
-        self.callbacks = None
-        self.triggered = False
-        self.value = None
+        super().__init__(env)
         # A caller-owned list is used as-is (callers must not mutate it
         # afterwards); other iterables are materialised.
         if events.__class__ is not list:
@@ -190,7 +187,11 @@ class AllOf(Event):
 
 
 class Process:
-    """A running simulation process wrapping a generator body."""
+    """A running simulation process wrapping a generator body.
+
+    The body yields an :class:`Event` to wait on it, or ``None`` to
+    park after handing the process's resume to a request itself.
+    """
 
     __slots__ = ("env", "_send", "_resume_cb", "done")
 
@@ -198,13 +199,7 @@ class Process:
         self.env = env
         self._send = body.send
         self._resume_cb = self._resume
-        # Event(env), field stores inlined (one process per subquery).
-        done = Event.__new__(Event)
-        done.env = env
-        done.callbacks = None
-        done.triggered = False
-        done.value = None
-        self.done = done
+        self.done = Event(env)
         env._schedule(0.0, self._resume_cb, None)
 
     def _resume(self, value: Any) -> None:
@@ -214,6 +209,10 @@ class Process:
             self.done.succeed(stop.value)
             return
         if event.__class__ is not Event and not isinstance(event, Event):
+            if event is None:
+                # Parked: the body handed this process's resume to a
+                # request (or a wake-up), which resumes it directly.
+                return
             raise TypeError(
                 f"process yielded {type(event).__name__}, expected Event"
             )
@@ -366,32 +365,44 @@ class Environment:
         else:
             _reject_delay(delay)
 
+    def _deliver(self, waiter: Any, value: Any = None) -> None:
+        """Wake a completed request's ``waiter`` with ``value``.
+
+        The one completion tail of the servers and network hops; it
+        must be the dispatched callback's final action.  ``waiter`` is a
+        fresh :class:`Event` (its ``succeed`` inlined) or a resume
+        callable.  A sole waiter runs inline, counted as one event,
+        when the ready deque is empty and the heap head lies strictly
+        later: exactly when its ready-deque hop would be the next
+        dispatch.  Otherwise it takes that hop, with a fresh ``seq``.
+        """
+        if waiter.__class__ is Event:
+            waiter.triggered = True
+            waiter.value = value
+            callbacks = waiter.callbacks
+            if callbacks is None:
+                return
+            waiter.callbacks = None
+            if callbacks.__class__ is list:
+                for callback in callbacks:
+                    self._schedule(0.0, callback, value)
+                return
+            waiter = callbacks
+        heap = self._heap
+        if not self._ready and (not heap or heap[0][0] > self._now):
+            self.event_count += 1
+            waiter(value)
+        else:
+            self._seq = seq = self._seq + 1
+            self._ready.append((seq, waiter, value))
+
     def event(self) -> Event:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event triggering ``delay`` seconds from now."""
-        # Event(self), field stores inlined (hot path).
-        event = Event.__new__(Event)
-        event.env = self
-        event.callbacks = None
-        event.triggered = False
-        event.value = None
-        # _schedule(delay, event.succeed, value), inlined (hot path).
-        if delay == 0.0 and self._dispatching:
-            self._seq = seq = self._seq + 1
-            self._ready.append((seq, event.succeed, value))
-        elif 0.0 <= delay < _INF:
-            time = self._now + delay
-            self._seq = seq = self._seq + 1
-            if time < self._cal_end:
-                heapq.heappush(
-                    self._heap, (time, seq, event.succeed, value)
-                )
-            else:
-                self._cal_push((time, seq, event.succeed, value))
-        else:
-            _reject_delay(delay)
+        event = Event(self)
+        self._schedule(delay, event.succeed, value)
         return event
 
     def timeout_at(self, when: float, value: Any = None) -> Event:
@@ -410,11 +421,7 @@ class Environment:
         if not when < _INF:
             # NaN falls through the first comparison to this one.
             raise ValueError(f"delay must be finite, got {when!r}")
-        event = Event.__new__(Event)
-        event.env = self
-        event.callbacks = None
-        event.triggered = False
-        event.value = None
+        event = Event(self)
         self._seq = seq = self._seq + 1
         if when < self._cal_end:
             heapq.heappush(self._heap, (when, seq, event.succeed, value))

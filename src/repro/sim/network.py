@@ -10,6 +10,8 @@ charged by the caller on the respective nodes.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from repro.sim.config import CpuCosts, NetworkParameters
 from repro.sim.engine import Environment, Event
 
@@ -22,6 +24,8 @@ class Network:
         self.params = params
         self.messages_sent = 0
         self.bytes_sent = 0
+        #: The hop completion, bound once: it wakes a resume callable.
+        self._deliver = env._deliver
 
     def transfer_seconds(self, n_bytes: int) -> float:
         """Wire time for one message."""
@@ -29,18 +33,28 @@ class Network:
             raise ValueError("n_bytes must be non-negative")
         return n_bytes * 8.0 / self.params.bandwidth_bits_per_s
 
-    def transfer(self, n_bytes: int, seconds: float | None = None) -> Event:
+    def transfer(
+        self,
+        n_bytes: int,
+        seconds: float | None = None,
+        resume: Callable[[Any], Any] | None = None,
+    ) -> Event | None:
         """An event triggering after the wire delay of one message.
 
         ``seconds`` may carry the precomputed :meth:`transfer_seconds`
         of ``n_bytes`` — hot callers sending fixed-size control messages
-        price the delay once instead of per message.
+        price the delay once instead of per message.  With a ``resume``
+        callable the hop is one timed entry that wakes it (through the
+        servers' completion tail) instead, and this returns ``None``.
         """
         self.messages_sent += 1
         self.bytes_sent += n_bytes
         if seconds is None:
             seconds = self.transfer_seconds(n_bytes)
-        return self.env.timeout(seconds)
+        if resume is None:
+            return self.env.timeout(seconds)
+        self.env._schedule(seconds, self._deliver, resume)
+        return None
 
 
 def send_instructions(costs: CpuCosts, n_bytes: int) -> int:

@@ -3,8 +3,10 @@
 Processors and disks "are explicitly modeled as servers to realistically
 capture access conflicts and delays" (Section 5).  A request joins the
 queue; its service time is computed when service *starts* (disks need
-the head position at that moment), and its completion event carries the
-request's value.
+the head position at that moment), and its completion wakes the
+request's *waiter* with the request's value.  A waiter is a fresh
+:class:`~repro.sim.engine.Event` or a resume callable (see
+:meth:`~repro.sim.engine.Environment._deliver`).
 
 Accounting rules:
 
@@ -53,9 +55,9 @@ class FifoServer:
         #: ``self._complete`` would allocate a fresh bound method per
         #: request on the hot path.
         self._complete_cb = self._complete
-        #: Waiting requests: (service, done, value, enqueue_time).
+        #: Waiting requests: (service, waiter, value, enqueue_time).
         self._queue: deque[
-            tuple[Callable[[], float] | float, Event, Any, float]
+            tuple[Callable[[], float] | float, Any, Any, float]
         ] = deque()
         self._busy = False
         # Statistics
@@ -102,14 +104,14 @@ class FifoServer:
                 )
         return done
 
-    def _complete(self, entry: tuple[Event, Any, float]) -> None:
-        done, value, duration = entry
+    def _complete(self, entry: tuple[Any, Any, float]) -> None:
+        waiter, value, duration = entry
         self.busy_time += duration
         self.request_count += 1
         queue = self._queue
         env = self.env
         if queue:
-            service, next_done, next_value, enqueued = queue.popleft()
+            service, next_waiter, next_value, enqueued = queue.popleft()
             self.queue_time += env._now - enqueued
             # Pre-priced floats (CPU bursts, the hot case) skip the
             # _price indirection.
@@ -129,35 +131,17 @@ class FifoServer:
                         time,
                         seq,
                         self._complete_cb,
-                        (next_done, next_value, next_duration),
+                        (next_waiter, next_value, next_duration),
                     ),
                 )
             else:
                 env._cal_push(
                     (time, seq, self._complete_cb,
-                     (next_done, next_value, next_duration))
+                     (next_waiter, next_value, next_duration))
                 )
         else:
             self._busy = False
-        # done.succeed(value), inlined (the completion event is fresh
-        # by construction, and _complete only runs during dispatch).
-        done.triggered = True
-        done.value = value
-        callbacks = done.callbacks
-        if callbacks is None:
-            return
-        done.callbacks = None
-        if callbacks.__class__ is list:
-            for callback in callbacks:
-                env._schedule(0.0, callback, value)
-        else:
-            heap = env._heap
-            if not env._ready and (not heap or heap[0][0] > env._now):
-                env.event_count += 1
-                callbacks(value)
-            else:
-                env._seq = seq = env._seq + 1
-                env._ready.append((seq, callbacks, value))
+        env._deliver(waiter, value)
 
     @property
     def queue_length(self) -> int:

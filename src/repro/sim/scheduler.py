@@ -25,7 +25,7 @@ from repro.sim.buffer import BufferManager
 from repro.sim.config import SimulationParameters
 from repro.sim.cpu import ProcessingNode
 from repro.sim.database import SubqueryWork
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Process
 from repro.sim.network import Network, receive_instructions, send_instructions
 
 
@@ -56,8 +56,8 @@ class QueryExecutor:
         "params", "io", "_small", "_small_delay", "_recv_cost",
         "_finish_cost", "_bitmap_page_cost", "_row_cost", "_read_page_cost",
         "_parallel_bitmap_io", "coordinator_id", "_coordinator",
-        "_slots_free", "_free_nodes", "_active", "_wake", "_disk_read",
-        "_disk_batch",
+        "_slots_free", "_free_nodes", "_active", "_resume", "_wake",
+        "_disk_read", "_disk_batch",
     )
 
     def __init__(
@@ -65,8 +65,8 @@ class QueryExecutor:
         env: Environment,
         work: Iterable[SubqueryWork],
         nodes: list[ProcessingNode],
-        disk_reads: list[Callable[..., Event]],
-        disk_batches: list[Callable[..., Event]],
+        disk_reads: list[Callable[..., Event | None]],
+        disk_batches: list[Callable[..., Event | None]],
         network: Network,
         buffers: list[BufferManager],
         rng: random.Random,
@@ -103,7 +103,10 @@ class QueryExecutor:
         #: the round-robin scan entirely while every node is saturated.
         self._free_nodes = 0
         self._active = 0
-        self._wake: Event | None = None
+        #: The coordinator process's resume, set by :meth:`start`; held
+        #: in ``_wake`` while the coordinator waits for a subquery.
+        self._resume: Callable[[object], None] | None = None
+        self._wake: Callable[[object], None] | None = None
         #: The subquery loops index these lists instead of re-binding a
         #: disk method per read; parallel bitmap reads hitting the same
         #: disk fuse into one read_batch with one completion event.
@@ -112,9 +115,20 @@ class QueryExecutor:
 
     # -- coordinator ---------------------------------------------------------
 
+    def start(self) -> Process:
+        """Start the coordinator process; its ``done`` triggers when the
+        query has finished."""
+        process = self.env.process(self.body())
+        self._resume = process._resume_cb
+        return process
+
     def body(self):
-        """The coordinator process: schedule subqueries, gather results."""
-        env = self.env
+        """The coordinator process: schedule subqueries, gather results.
+
+        Run it through :meth:`start`: it hands its process's resume to
+        its per-subquery send bursts and parks (yields ``None``) on them.
+        """
+        resume = self._resume
         costs = self.params.cpu_costs
         small = self.params.network.small_message_bytes
         t = self.params.hardware.subqueries_per_node
@@ -147,14 +161,15 @@ class QueryExecutor:
                 if not slots_free[node_id]:
                     self._free_nodes -= 1
                 self._active += 1
-                yield self._coordinator.compute(send_cost)
+                self._coordinator.compute(send_cost, resume)
+                yield
                 self._launch(node_id, next_work)
                 next_work = next(work_iter, None)
             if next_work is None and self._active == 0:
                 break
-            self._wake = env.event()
-            yield self._wake
-            self._wake = None
+            # Park until a subquery finishes (see _on_done).
+            self._wake = resume
+            yield
 
         yield self._coordinator.compute(costs.terminate_query)
 
@@ -172,9 +187,13 @@ class QueryExecutor:
         raise AssertionError("no free node despite _free_nodes > 0")
 
     def _launch(self, node_id: int, work: SubqueryWork) -> None:
+        """Start one subquery: a self-driven generator, primed to
+        receive its own ``send`` as its resume callback on its first
+        dispatch."""
         self.io.subqueries += 1
-        process = self.env.process(self._subquery_body(node_id, work))
-        process.done.wait(lambda _value, n=node_id: self._on_done(n))
+        body = self._subquery_body(node_id, work)
+        next(body)
+        self.env._schedule(0.0, body.send, body.send)
 
     def _on_done(self, node_id: int) -> None:
         slots_free = self._slots_free
@@ -182,8 +201,10 @@ class QueryExecutor:
         if slots_free[node_id] == 1:
             self._free_nodes += 1
         self._active -= 1
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            self.env._schedule(0.0, wake, None)
 
     # -- subquery ----------------------------------------------------------------
 
@@ -193,10 +214,13 @@ class QueryExecutor:
         The bitmap and fact phases are inlined into this one generator
         (instead of ``yield from`` sub-generators) so each subquery
         costs a single generator frame on the event loop's hot path.
-        Every read is probed against the node's buffer pool first; a
-        counting-only pool answers those probes itself
-        (:meth:`~repro.sim.buffer.BufferPool.access_extents`), so this
-        body is the same whatever the pool tracks.
+        The body drives itself: it receives its own ``send`` as
+        ``resume`` on its first dispatch (see :meth:`_launch`), hands
+        ``resume`` to every request it waits on and yields nothing —
+        no Event, no Process.  Every read is probed against the node's
+        buffer pool first; a counting-only pool answers those probes
+        itself (:meth:`~repro.sim.buffer.BufferPool.access_extents`), so
+        this body is the same whatever the pool tracks.
         """
         env = self.env
         small = self._small
@@ -205,10 +229,15 @@ class QueryExecutor:
         buffer = self.buffers[node_id]
         io = self.io
         disk_read = self._disk_read
+        transfer = self.network.transfer
+        compute = node.compute
+        resume = yield
 
         # Assignment message: wire delay, then receive cost on the node.
-        yield self.network.transfer(small, small_delay)
-        yield node.compute(self._recv_cost)
+        transfer(small, small_delay, resume)
+        yield
+        compute(self._recv_cost, resume)
+        yield
 
         # Step 4a: read and process the relevant bitmap fragments —
         # parallel over disks if configured.  Parallel bitmap I/O probes
@@ -230,9 +259,9 @@ class QueryExecutor:
             if self._parallel_bitmap_io:
                 # Group the misses per disk (insertion order = first
                 # occurrence); repeats fuse into one batch request with
-                # one completion event.  Per-disk submit order is
-                # preserved, so the FIFO service order and every priced
-                # duration are identical to the unfused reads.
+                # one completion.  Per-disk submit order is preserved,
+                # so the FIFO service order and every priced duration
+                # are identical to the unfused reads.
                 probed = pool.probe_many(
                     bitmap_disks, bitmap_starts, extents, pages_per_read
                 )
@@ -256,16 +285,21 @@ class QueryExecutor:
                     io.bitmap_ops += read_ops
                     io.bitmap_pages += read_total
                     disk_batch = self._disk_batch
-                    pending: list[Event] = []
                     for disk_id, requests in groups.items():
                         if len(requests) == 1:
                             to_read, read_pages, base = requests[0]
-                            pending.append(
-                                disk_read[disk_id](to_read, read_pages, base)
+                            disk_read[disk_id](
+                                to_read, read_pages, base, resume
                             )
                         else:
-                            pending.append(disk_batch[disk_id](requests))
-                    yield env.all_of(pending)
+                            disk_batch[disk_id](requests, resume)
+                    # Countdown join: one resume per completed group,
+                    # then the join's own zero-delay hop (as a joined
+                    # Event's succeed would schedule it).
+                    for _group in groups:
+                        yield
+                    env._schedule(0.0, resume, None)
+                    yield
             else:
                 access_extents = pool.access_extents
                 for disk_id, base in zip(bitmap_disks, bitmap_starts):
@@ -276,9 +310,11 @@ class QueryExecutor:
                         continue
                     io.bitmap_ops += len(to_read)
                     io.bitmap_pages += read_pages
-                    yield disk_read[disk_id](to_read, read_pages, base)
+                    disk_read[disk_id](to_read, read_pages, base, resume)
+                    yield
             if pages_processed:
-                yield node.compute(self._bitmap_page_cost * pages_processed)
+                compute(self._bitmap_page_cost * pages_processed, resume)
+                yield
 
         # Step 4b: read fact granules, extract and aggregate hit rows.
         row_instructions = self._row_cost * work.relevant_rows
@@ -289,7 +325,6 @@ class QueryExecutor:
             base = work.fact_start
             access_extents = buffer.fact.access_extents
             read_validated = disk_read[fact_disk]
-            compute = node.compute
             read_page = self._read_page_cost
             # The query's counters are read only after all of its
             # subqueries finished, so they take one sum per subquery.
@@ -302,14 +337,27 @@ class QueryExecutor:
                 if to_read:
                     read_ops += len(to_read)
                     read_total += read_pages
-                    yield read_validated(to_read, read_pages, base)
-                yield compute(read_page * pages_in_batch + rows_per_batch)
+                    read_validated(to_read, read_pages, base, resume)
+                    yield
+                compute(read_page * pages_in_batch + rows_per_batch, resume)
+                yield
             io.fact_ops += read_ops
             io.fact_pages += read_total
         elif row_instructions:
-            yield node.compute(row_instructions)
+            compute(row_instructions, resume)
+            yield
 
         # Return the partial aggregate to the coordinator.
-        yield node.compute(self._finish_cost)
-        yield self.network.transfer(small, small_delay)
-        yield self._coordinator.compute(self._recv_cost)
+        compute(self._finish_cost, resume)
+        yield
+        transfer(small, small_delay, resume)
+        yield
+        self._coordinator.compute(self._recv_cost, resume)
+        yield
+        env._schedule(0.0, self._on_done, node_id)
+        # Park for good.  Nothing may still reference this generator's
+        # own send from its frame: the generator would then be a
+        # reference cycle, left for the cyclic collector instead of
+        # being freed as soon as its last completion returns.
+        resume = None
+        yield

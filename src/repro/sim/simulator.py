@@ -273,7 +273,7 @@ class ParallelWarehouseSimulator:
         for query in queries:
             executor = setup.executor(query, rng)
             start = env.now
-            process = env.process(executor.body())
+            process = executor.start()
             env.run_until_event(process.done)
             result.record(
                 QueryMetrics(
@@ -330,7 +330,7 @@ class ParallelWarehouseSimulator:
                     derive_rng(params.seed, "multiuser", stream_id, q_index),
                 )
                 start = env.now
-                process = env.process(executor.body())
+                process = executor.start()
                 yield process.done
                 result.record(
                     QueryMetrics(
@@ -474,7 +474,7 @@ class ParallelWarehouseSimulator:
                 executor = setup.executor(
                     query, derive_rng(params.seed, "open", session_id, q_index)
                 )
-                process = env.process(executor.body())
+                process = executor.start()
                 yield process.done
                 controller.release()
                 result.record(

@@ -127,3 +127,46 @@ process_steps = st.one_of(
 
 #: A whole process body recipe.
 process_recipes = st.lists(process_steps, max_size=5)
+
+
+# -- server-request scripts ---------------------------------------------------
+
+#: Instruction counts of a CPU burst; zeros make zero-duration bursts,
+#: repeats make same-instant completion ties.
+burst_instructions = st.one_of(
+    st.sampled_from([0, 0, 1_000, 1_000, 50_000]),
+    st.integers(min_value=0, max_value=200_000),
+)
+
+#: One ``(start_page, pages)`` extent of a disk read.
+read_extents = st.tuples(
+    st.integers(min_value=0, max_value=4_000),
+    st.integers(min_value=1, max_value=4),
+)
+
+#: One disk request: a single read or a fused batch of reads, on one of
+#: two disks.
+disk_requests = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 1), read_extents),
+    st.tuples(
+        st.just("batch"),
+        st.integers(0, 1),
+        st.lists(read_extents, min_size=2, max_size=3),
+    ),
+)
+
+#: One step of a server-request script: a CPU burst on one of two
+#: nodes, a disk request, a network hop (``delays`` supplies zero-delay
+#: hops and same-instant ties) or a parallel join over disk requests,
+#: whose disks may repeat.
+request_steps = st.one_of(
+    st.tuples(st.just("cpu"), st.integers(0, 1), burst_instructions),
+    disk_requests,
+    st.tuples(st.just("hop"), delays),
+    st.tuples(st.just("join"), st.lists(disk_requests, min_size=1, max_size=3)),
+)
+
+#: Several processes' scripts, all started at time zero.
+request_scripts = st.lists(
+    st.lists(request_steps, max_size=6), min_size=1, max_size=4
+)

@@ -34,6 +34,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             replace(SimulationParameters(), **{field: value})
 
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            (None, "max_concurrent_subqueries", 0),
+            (None, "max_concurrent_subqueries", -1),
+            ("hardware", "cpu_mips", math.nan),
+            ("hardware", "cpu_mips", math.inf),
+            ("hardware", "cpu_mips", 0.0),
+            ("network", "bandwidth_bits_per_s", 0.0),
+            ("network", "bandwidth_bits_per_s", -1.0),
+            ("network", "bandwidth_bits_per_s", math.nan),
+            ("network", "bandwidth_bits_per_s", math.inf),
+            ("network", "small_message_bytes", -1),
+            ("network", "large_message_bytes", -1),
+            ("cpu_costs", "read_page", -1),
+            ("cpu_costs", "initiate_query", -5),
+            ("cpu_costs", "per_message_byte", math.nan),
+        ],
+    )
+    def test_invalid_per_event_knobs_rejected(self, section, field, value):
+        """Knobs the event loop consumes fail at construction, naming
+        the field, instead of deadlocking, dividing by zero or failing
+        inside a CPU burst (or, for ``read_page``, being accepted)."""
+        params = SimulationParameters()
+        with pytest.raises(ValueError, match=field):
+            if section is None:
+                replace(params, **{field: value})
+            else:
+                part = replace(getattr(params, section), **{field: value})
+                replace(params, **{section: part})
+
     def test_invalid_hardware_rejected(self):
         with pytest.raises(ValueError):
             SimulationParameters().with_hardware(n_disks=0)

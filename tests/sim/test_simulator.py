@@ -1,11 +1,17 @@
 """End-to-end simulator behaviour on the tiny schema (fast) plus one
 full-scale spot check against the paper."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from repro.mdhf.query import Predicate, StarQuery
 from repro.mdhf.spec import Fragmentation
 from repro.sim.config import SimulationParameters
+from repro.sim.engine import Process
+from repro.sim.scheduler import QueryExecutor
 from repro.sim.simulator import ParallelWarehouseSimulator
 
 
@@ -150,6 +156,59 @@ class TestBufferManager:
         assert second.fact_pages == 0  # everything resident
         assert second.bitmap_pages == 0
         assert second.response_time < first.response_time
+
+
+class TestNoCyclicGarbage:
+    """A finished subquery is freed by refcounting: its generator must
+    not reference itself once it parks, and it runs without a
+    ``Process`` of its own.  Only the queries' coordinator processes
+    may be left for the cyclic collector."""
+
+    @pytest.mark.parametrize("parallel_bitmap_io", [True, False])
+    def test_subqueries_leave_no_cyclic_garbage(
+        self, tiny, tiny_frag, one_store_tiny, one_month_tiny,
+        parallel_bitmap_io, monkeypatch,
+    ):
+        # A suspended generator caught in a cycle is closed by its
+        # finalizer during collection, which breaks the cycle, so it
+        # never shows in gc.garbage: weak references catch it instead.
+        bodies = []
+        make_body = QueryExecutor._subquery_body
+
+        def traced_body(executor, node_id, work):
+            body = make_body(executor, node_id, work)
+            bodies.append(weakref.ref(body))
+            return body
+
+        monkeypatch.setattr(QueryExecutor, "_subquery_body", traced_body)
+        params = replace(tiny_params(), parallel_bitmap_io=parallel_bitmap_io)
+        queries = [one_store_tiny, one_month_tiny, one_store_tiny]
+        was_enabled = gc.isenabled()
+        old_debug = gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            sim = ParallelWarehouseSimulator(tiny, tiny_frag, params)
+            result = sim.run(queries)
+            assert result.query_count == len(queries)
+            del sim, result
+            assert bodies
+            assert [ref for ref in bodies if ref() is not None] == []
+            gc.collect()
+            leftover = [
+                obj for obj in gc.garbage
+                if type(obj).__name__ == "generator"
+                and obj.gi_code.co_name == "_subquery_body"
+            ]
+            processes = [obj for obj in gc.garbage if type(obj) is Process]
+            assert leftover == []
+            assert len(processes) <= len(queries)
+        finally:
+            gc.set_debug(old_debug)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
 
 
 class TestCrossValidationWithCostModel:
