@@ -17,6 +17,18 @@ CI (perf-smoke) runs this on every PR:
         --small 1000 --large 10000 --out bounded_memory.json
 
 Exit status is non-zero when the bounded-mode growth bound is violated.
+
+``--expansion`` checks the work expander instead: it fully drains
+``SimulatedDatabase.iter_subquery_work`` for the ``cluster32`` plan
+(345,600 selected fragments in 10,800 cluster subqueries) under
+``tracemalloc``, with the database build and planning excluded, and
+fails when the traced peak exceeds ``MAX_EXPANSION_MIB``.  The
+expander emits its units block by block, so the peak is the plan's
+fragment id array plus one block; CI runs it next to the retention
+check:
+
+    PYTHONPATH=src python benchmarks/check_bounded_memory.py \
+        --expansion --out expansion_memory.json
 """
 
 from __future__ import annotations
@@ -125,6 +137,68 @@ def measure(streams: int, retention: str, stream_shards: int = 1) -> dict:
     return measurement
 
 
+# Largest allowed traced peak of the --expansion check.  Block-wise
+# expansion measures about 3.1 MiB on cluster32; an expander that builds
+# its rows for the whole plan measured 33.9 MiB.
+MAX_EXPANSION_MIB = 12.0
+
+
+def measure_expansion() -> dict:
+    """Traced peak (MiB) of draining the cluster32 work expansion.
+
+    The database is built and the query planned before tracing starts,
+    so the peak is what the expansion itself holds.  No unit is kept.
+    """
+    run = next(
+        run
+        for run in get_scenario("ablation_fragment_clustering").runs
+        if run.run_id == "cluster32"
+    )
+    schema = _schema_for(run)
+    database = _database_for(run, schema)
+    query = query_type(run.query).instantiate(schema, random.Random(run.seed))
+    plan = database.plan(query)
+    started = time.perf_counter()
+    units = 0
+    tracemalloc.start()
+    try:
+        for _work in database.iter_subquery_work(plan):
+            units += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {
+        "run_id": run.run_id,
+        "selected_fragments": plan.fragment_count,
+        "units": units,
+        "traced_peak_mib": round(peak / 2**20, 2),
+        "wall_clock_s": round(time.perf_counter() - started, 2),
+    }
+
+
+def check_expansion(out: str | None) -> int:
+    report = measure_expansion()
+    report["max_allowed_mib"] = MAX_EXPANSION_MIB
+    print(json.dumps(report, indent=2))
+    if out:
+        with open(out, "w") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+    peak = report["traced_peak_mib"]
+    if peak > MAX_EXPANSION_MIB:
+        print(
+            f"FAIL: draining the {report['run_id']} expansion peaked at "
+            f"{peak:.1f} MiB (allowed {MAX_EXPANSION_MIB} MiB)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"ok: draining the {report['run_id']} expansion peaked at "
+        f"{peak:.1f} MiB"
+    )
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--small", type=int, default=1000,
@@ -156,7 +230,14 @@ def main(argv: list[str] | None = None) -> int:
              "shard in-process precisely so the traced peak is exactly "
              "one worker's footprint)",
     )
+    parser.add_argument(
+        "--expansion", action="store_true",
+        help="check the work expander instead of retention: drain the "
+             "cluster32 expansion under tracemalloc",
+    )
     args = parser.parse_args(argv)
+    if args.expansion:
+        return check_expansion(args.out)
     if args.large <= args.small:
         print("error: --large must exceed --small", file=sys.stderr)
         return 2

@@ -103,6 +103,21 @@ class BufferParameters:
     #: bitmap-fragment size when fragments are smaller than the granule.
     adaptive_bitmap_prefetch: bool = True
 
+    def __post_init__(self) -> None:
+        # The work expander divides by the page size and the fact
+        # granule, and steps through bitmap extents one granule at a
+        # time, so a zero there would fail (or loop) deep inside a run.
+        for name in (
+            "page_size", "prefetch_fact_pages", "prefetch_bitmap_pages"
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        for name in ("fact_buffer_pages", "bitmap_buffer_pages"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class HardwareParameters:

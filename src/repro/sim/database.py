@@ -15,9 +15,8 @@ that totals match the analytic model exactly without RNG noise.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -163,20 +162,57 @@ class _Spreader:
         return value
 
 
-def _spread_count_array(rate: float, n: int) -> np.ndarray:
-    """The first ``n`` values of ``_Spreader(rate)`` as an int64 array.
+def _spread_count_array(rate: float, n: int, start: int = 0) -> np.ndarray:
+    """Draws ``start + 1`` to ``start + n`` of ``_Spreader(rate)`` as an
+    int64 array.
 
     Element operations (multiply, epsilon guard, floor) are the same
-    IEEE-754 operations the scalar spreader performs, so the integer
-    sequence is identical.
+    IEEE-754 operations the scalar spreader performs, and the running
+    target at ``start`` is the one the spreader reached there, so the
+    integer sequence is identical wherever a block of it starts.
     """
     if rate < 0:
         raise ValueError("rate must be non-negative")
-    products = rate * np.arange(1, n + 1, dtype=np.float64)
+    products = rate * np.arange(start, start + n + 1, dtype=np.float64)
     targets = np.floor(
         products + (products * _SPREAD_EPS_REL + _SPREAD_EPS_ABS)
     ).astype(np.int64)
-    return np.diff(targets, prepend=0)
+    return np.diff(targets)
+
+
+#: Selected fragments per block of
+#: :meth:`SimulatedDatabase.iter_subquery_work`: enough that a block's
+#: numpy calls cost little next to its units (at 2,048 the cluster32
+#: expansion ran slower than the whole-plan one inside a simulation),
+#: few enough that its rows stay within a few MiB even with a dozen
+#: bitmap reads per fragment.
+_EXPAND_BLOCK = 4096
+
+
+def _expansion_blocks(
+    ids: np.ndarray, cluster_factor: int
+) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` position ranges that split ``ids`` into blocks.
+
+    A block holds at most ``max(_EXPAND_BLOCK, cluster_factor)``
+    fragments and is cut only between clusters (runs of equal
+    ``id // cluster_factor``), so no unit straddles two blocks.
+    """
+    n = ids.size
+    step = max(_EXPAND_BLOCK, cluster_factor)
+    lo = 0
+    while lo < n:
+        hi = min(lo + step, n)
+        if hi < n and cluster_factor > 1:
+            # Move the cut back to the start of the cluster holding
+            # ``hi``.  A cluster spans at most ``cluster_factor``
+            # positions, so the window holds that start, and the cut
+            # stays past ``lo``.
+            window = ids[hi - cluster_factor : hi + 1] // cluster_factor
+            last_other = int(np.flatnonzero(window != window[-1])[-1])
+            hi -= cluster_factor - 1 - last_other
+        yield lo, hi
+        lo = hi
 
 
 class SimulatedDatabase:
@@ -298,12 +334,19 @@ class SimulatedDatabase:
         allocation unit (Section 6.3), whose bitmap fragments are packed
         into consecutive pages and read as one extent.
 
+        The selected fragments are expanded block by block
+        (:func:`_expansion_blocks`), so only one block's rows are alive
+        at a time, however many fragments the plan selects.  Each block
+        runs two steps.
+
         Step 1 gives every fragment its relevant rows and the index of
         its fact extent template, and every template its bitmap extents
         and pages per bitmap read.  Uniform fragments spread the plan's
         expected hits and hit granules over the fragment sequence
-        (:func:`_spread_count_array`); skewed fragments scale them with
-        their own population, one template per distinct population.
+        (:func:`_spread_count_array`, from the block's first position);
+        skewed fragments scale them with their own population.  A
+        template is interned by the value that fixes it (hit granules
+        or population), so its index is the same in every block.
 
         Step 2 emits the units.  A unit's layout — each fragment's start
         relative to the unit's first fact page (``fact_start``), and its
@@ -312,23 +355,42 @@ class SimulatedDatabase:
         batches, interned by content within one call.
         """
         ids = plan.fragment_id_array(self.geometry)
-        n_selected = ids.size
-        if not n_selected:
+        if not ids.size:
             return
         params = self.params
         prefetch = params.buffer.prefetch_fact_pages
         n_bitmaps = plan.bitmaps_per_fragment
         allocation = self.allocation
+        cluster_factor = params.cluster_factor
+        skew_tuples = self._skew_tuples
 
-        # Step 1: per-fragment shape.  ``template_of`` is None when every
-        # fragment shares template 0.
-        template_of = None
-        if self._skew_tuples is None:
+        # Interned templates with their (bitmap extents, pages per read)
+        # and, for skewed fragments, their relevant rows.
+        templates: list[list[tuple[int, int]]] = []
+        bitmaps: list[tuple[list[tuple[int, int]], int]] = []
+        relevant_of: list[int | None] = []
+        index_of: dict[int, int] = {}
+        if skew_tuples is None:
             pages = self.fact_pages_per_fragment
             granules = math.ceil(pages / prefetch)
-            relevants = _spread_count_array(plan.hits_per_fragment, n_selected)
+            bitmap_pages = allocation.bitmap_pages_per_fragment
+            bitmap_read = (
+                ExtentTemplate(
+                    self._sequential_extents(
+                        0,
+                        bitmap_pages,
+                        self._bitmap_granule(self._tuples_per_fragment),
+                    )
+                ),
+                bitmap_pages,
+            )
             if plan.all_rows_relevant:
-                templates = [self._sequential_extents(0, pages, prefetch)]
+                # Every fragment shares template 0.  Full scans skip
+                # interning on purpose: the first ``np.unique`` call in
+                # a process raises its peak RSS by about 0.4 MiB, which
+                # a run of full scans alone would otherwise pay.
+                templates.append(self._sequential_extents(0, pages, prefetch))
+                bitmaps.append(bitmap_read)
             else:
                 hit_pages = distinct_blocks(
                     round(self._tuples_per_fragment),
@@ -338,33 +400,19 @@ class SimulatedDatabase:
                 hit_granules = min(
                     float(granules), cardenas(granules, hit_pages)
                 )
-                # The spreader emits at most two distinct counts per plan.
-                counts, template_of = np.unique(
-                    _spread_count_array(hit_granules, n_selected),
-                    return_inverse=True,
+
+            def shape(count: int) -> tuple:
+                extents = self._spread_extents(
+                    0, pages, prefetch, granules, count
                 )
-                templates = [
-                    self._spread_extents(0, pages, prefetch, granules, count)
-                    for count in counts.tolist()
-                ]
-            bitmap_pages = allocation.bitmap_pages_per_fragment
-            bitmap_extents = ExtentTemplate(
-                self._sequential_extents(
-                    0,
-                    bitmap_pages,
-                    self._bitmap_granule(self._tuples_per_fragment),
-                )
-            )
-            bitmaps = [(bitmap_extents, bitmap_pages)] * len(templates)
+                return extents, bitmap_read, None
+
         else:
-            # Hits scale with each fragment's population (uniformity
-            # *within* fragments is kept); I/O follows its actual page
-            # count inside its reserved slot.
-            populations, template_of = np.unique(
-                self._skew_tuples[ids], return_inverse=True
-            )
-            templates, relevant_of, bitmaps = [], [], []
-            for tuples in populations.tolist():
+
+            def shape(tuples: int) -> tuple:
+                # Hits scale with the fragment's population (uniformity
+                # *within* fragments is kept); I/O follows its actual
+                # page count inside its reserved slot.
                 pages = math.ceil(tuples / self._tuples_per_page)
                 granules = math.ceil(pages / prefetch)
                 if plan.all_rows_relevant:
@@ -386,8 +434,6 @@ class SimulatedDatabase:
                     extents = self._spread_extents(
                         0, pages, prefetch, granules, hits
                     )
-                templates.append(extents)
-                relevant_of.append(relevant)
                 bitmap_pages = 0
                 bitmap_extents: list[tuple[int, int]] = []
                 if n_bitmaps and tuples:
@@ -398,94 +444,115 @@ class SimulatedDatabase:
                             0, bitmap_pages, self._bitmap_granule(tuples)
                         )
                     )
-                bitmaps.append((bitmap_extents, bitmap_pages))
-            relevants = np.asarray(relevant_of, dtype=np.int64)[template_of]
+                return extents, (bitmap_extents, bitmap_pages), relevant
 
-        # Step 2: per-unit emission, one row of unit values each.
+        def template_indices(keys: np.ndarray) -> np.ndarray:
+            values, inverse = np.unique(keys, return_inverse=True)
+            indices = []
+            for value in values.tolist():
+                index = index_of.get(value)
+                if index is None:
+                    index = index_of[value] = len(templates)
+                    extents, bitmap, relevant = shape(value)
+                    templates.append(extents)
+                    bitmaps.append(bitmap)
+                    relevant_of.append(relevant)
+                indices.append(index)
+            return np.asarray(indices, dtype=np.int64)[inverse]
+
         empty: list = []
-        fact_disks, fact_starts = allocation.fact_locations(ids)
-        if params.cluster_factor == 1:
-            # Single-fragment units iterate plain per-fragment lists; a
-            # unit's layout key is its template index.  The lists replace
-            # their arrays before the bitmap rows are built, so no
-            # per-fragment array outlives its list.
-            relevants = relevants.tolist()
-            template_of = (
-                repeat(0) if template_of is None else template_of.tolist()
-            )
-            if n_bitmaps:
-                located = [
-                    allocation.bitmap_locations(index, ids)
-                    for index in range(n_bitmaps)
-                ]
-                # Transpose to one (disks, starts) row per fragment, so the
-                # work units borrow ready-made rows instead of building one
-                # tuple per bitmap read.
-                bitmap_disk_rows = np.stack(
-                    [disks for disks, _starts in located], axis=1
-                ).tolist()
-                bitmap_start_rows = np.stack(
-                    [starts for _disks, starts in located], axis=1
-                ).tolist()
+        # A clustered unit reads one packed extent per bitmap, whose
+        # length depends only on the unit's number of fragments.
+        cluster_bitmaps: dict[int, tuple[list[tuple[int, int]], int]] = {}
+
+        def block_rows(lo: int, hi: int) -> Iterator[tuple]:
+            """One row of unit values per unit of positions ``lo:hi``."""
+            block = ids[lo:hi]
+            # Step 1: per-fragment shape.
+            if skew_tuples is None:
+                relevants = _spread_count_array(
+                    plan.hits_per_fragment, hi - lo, lo
+                )
+                template_of = (
+                    np.zeros(hi - lo, dtype=np.int64)
+                    if plan.all_rows_relevant
+                    else template_indices(
+                        _spread_count_array(hit_granules, hi - lo, lo)
+                    )
+                )
             else:
-                bitmap_disk_rows = bitmap_start_rows = repeat(empty)
-            units = zip(
-                ids.tolist(),
-                fact_disks.tolist(),
-                fact_starts.tolist(),
-                template_of,
-                relevants,
-                bitmap_disk_rows,
-                bitmap_start_rows,
-            )
-        else:
+                template_of = template_indices(skew_tuples[block])
+                relevants = np.asarray(relevant_of, dtype=np.int64)[
+                    template_of
+                ]
+
+            # Step 2 rows.
+            fact_disks, fact_starts = allocation.fact_locations(block)
+            bitmap_rows = (repeat(empty), repeat(empty))
+            if cluster_factor == 1:
+                # A single-fragment unit's layout key is its template
+                # index.  Bitmap placements transpose to one (disks,
+                # starts) row per fragment, so the work units borrow
+                # ready-made rows instead of building one tuple per
+                # bitmap read.
+                if n_bitmaps:
+                    located = [
+                        allocation.bitmap_locations(index, block)
+                        for index in range(n_bitmaps)
+                    ]
+                    bitmap_rows = [
+                        np.stack(column, axis=1).tolist()
+                        for column in zip(*located)
+                    ]
+                return zip(
+                    block.tolist(),
+                    fact_disks.tolist(),
+                    fact_starts.tolist(),
+                    template_of.tolist(),
+                    relevants.tolist(),
+                    *bitmap_rows,
+                )
             # Clusters are consecutive runs of equal allocation unit; a
             # cluster's (relative start, template) rows are its layout,
             # and their bytes its key.
-            cluster_of = ids // params.cluster_factor
+            cluster_of = block // cluster_factor
             boundaries = np.flatnonzero(np.diff(cluster_of)) + 1
             firsts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
-            ends = np.append(boundaries, n_selected)
+            ends = np.append(boundaries, hi - lo)
             sizes = ends - firsts
             bases = fact_starts[firsts]
             layout_rows = np.stack(
-                (
-                    fact_starts - np.repeat(bases, sizes),
-                    np.zeros(n_selected, dtype=np.int64)
-                    if template_of is None
-                    else template_of,
-                ),
-                axis=1,
+                (fact_starts - np.repeat(bases, sizes), template_of), axis=1
             )
             relevant_cumsum = np.concatenate(
                 (np.zeros(1, dtype=np.int64), np.cumsum(relevants))
             )
-            # Packed cluster bitmap extents depend only on the number of
-            # selected fragments; ``bitmaps`` is keyed by it.
-            bitmaps = defaultdict(lambda: (empty, 0))
             if n_bitmaps:
-                bitmap_disk_rows, bitmap_start_rows, cluster_pages = (
+                *bitmap_rows, cluster_pages = (
                     allocation.bitmap_cluster_locations(
                         cluster_of[firsts], sizes, n_bitmaps
                     )
                 )
                 for size, pages in zip(sizes.tolist(), cluster_pages):
-                    bitmaps[size] = ([(0, pages)], pages)
-            else:
-                bitmap_disk_rows = bitmap_start_rows = repeat(empty)
-            units = zip(
-                ids[firsts].tolist(),
+                    if size not in cluster_bitmaps:
+                        cluster_bitmaps[size] = ([(0, pages)], pages)
+            return zip(
+                block[firsts].tolist(),
                 fact_disks[firsts].tolist(),
                 bases.tolist(),
-                (
-                    layout_rows[lo:hi].tobytes()
-                    for lo, hi in zip(firsts.tolist(), ends.tolist())
-                ),
+                [
+                    layout_rows[first:end].tobytes()
+                    for first, end in zip(firsts.tolist(), ends.tolist())
+                ],
                 (relevant_cumsum[ends] - relevant_cumsum[firsts]).tolist(),
-                bitmap_disk_rows,
-                bitmap_start_rows,
+                *bitmap_rows,
             )
 
+        # ``chain`` drops each block's rows before it builds the next.
+        units = chain.from_iterable(
+            block_rows(lo, hi)
+            for lo, hi in _expansion_blocks(ids, cluster_factor)
+        )
         coalesce = params.io_coalesce
         layouts: dict[int | bytes, tuple] = {}
         shared_batches: dict[tuple, tuple[ExtentTemplate, int]] = {}
@@ -497,7 +564,9 @@ class SimulatedDatabase:
                 if isinstance(key, bytes):
                     rows = np.frombuffer(key, dtype=np.int64).reshape(-1, 2)
                     rows = rows.tolist()
-                    bitmap_extents, bitmap_pages = bitmaps[len(rows)]
+                    bitmap_extents, bitmap_pages = cluster_bitmaps.get(
+                        len(rows), (empty, 0)
+                    )
                 else:
                     rows = [(0, key)]
                     bitmap_extents, bitmap_pages = bitmaps[key]

@@ -170,3 +170,35 @@ request_steps = st.one_of(
 request_scripts = st.lists(
     st.lists(request_steps, max_size=6), min_size=1, max_size=4
 )
+
+
+# -- count-spreader strategies ----------------------------------------------
+
+#: Rates for the count spreader: arbitrary finite rates, rates weighted
+#: toward exact and near-integer values, and ``total / n`` quotients,
+#: whose products at multiples of ``n`` land within ulps of an integer —
+#: the cases the spreader's epsilon guard exists for.
+spread_rates = st.one_of(
+    st.sampled_from([0.0, 0.4, 1.0, 7.25, 112.5, 3.999999, 18_474.0000001]),
+    st.floats(
+        min_value=0.0,
+        max_value=1e6,
+        allow_nan=False,
+        allow_infinity=False,
+    ),
+    st.builds(
+        lambda total, n: total / n,
+        st.integers(min_value=1, max_value=10**12),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+)
+
+
+@st.composite
+def block_cuts(draw, n: int) -> list[int]:
+    """Sorted cut points ``[0, ..., n]`` that split ``range(n)`` into
+    blocks; repeated points give empty blocks."""
+    inner = draw(
+        st.lists(st.integers(min_value=0, max_value=n), max_size=8)
+    )
+    return [0, *sorted(inner), n]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.config import (
+    BufferParameters,
     DiskParameters,
     SimulationParameters,
     WorkloadParameters,
@@ -148,6 +149,46 @@ class TestDiskParametersValidation:
         )
         with pytest.raises(ValueError, match="avg_seek_ms"):
             spec.sim_params()
+
+
+class TestBufferParametersValidation:
+    """Page size, prefetch granules and pool sizes are checked at
+    construction, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field", ["page_size", "prefetch_fact_pages", "prefetch_bitmap_pages"]
+    )
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_non_positive_size_rejected(self, field, value):
+        # Regression: prefetch_bitmap_pages=0 without the adaptive
+        # granule hung the work expander, and prefetch_fact_pages=0 or
+        # page_size=0 raised ZeroDivisionError inside it.
+        with pytest.raises(ValueError, match=field):
+            BufferParameters(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["fact_buffer_pages", "bitmap_buffer_pages"]
+    )
+    def test_negative_buffer_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            BufferParameters(**{field: -1})
+
+    def test_fixed_granule_of_zero_rejected_through_replace(self):
+        buffer = SimulationParameters().buffer
+        with pytest.raises(ValueError, match="prefetch_bitmap_pages"):
+            replace(
+                buffer, prefetch_bitmap_pages=0, adaptive_bitmap_prefetch=False
+            )
+
+    def test_smallest_sizes_accepted(self):
+        buffer = BufferParameters(
+            page_size=1,
+            fact_buffer_pages=0,
+            bitmap_buffer_pages=0,
+            prefetch_fact_pages=1,
+            prefetch_bitmap_pages=1,
+        )
+        assert buffer.fact_buffer_pages == 0
 
 
 class TestWithHardware:
