@@ -131,7 +131,7 @@ def _probe_spec(**overrides) -> RunSpec:
     return RunSpec(
         run_id="hash-registry-probe",
         query="Q2.1",
-        fragmentation=("month",),
+        fragmentation=("time::month",),
         **overrides,
     )
 

@@ -133,12 +133,33 @@ class RunSpec:
             raise ValueError(f"unknown run mode {self.mode!r}")
         if self.schema not in ("apb1", "tiny"):
             raise ValueError(f"unknown schema {self.schema!r}")
-        if self.mode in (MODE_MULTI_USER, MODE_OPEN_SYSTEM) and self.streams < 1:
-            raise ValueError(f"{self.mode} runs need streams >= 1")
-        if self.disk_degradation < 1.0:
-            raise ValueError("disk_degradation must be >= 1.0")
+        if self.mode in (MODE_MULTI_USER, MODE_OPEN_SYSTEM):
+            if self.streams < 1:
+                raise ValueError(f"{self.mode} runs need streams >= 1")
+            if self.queries_per_stream < 1:
+                raise ValueError(
+                    f"{self.mode} runs need queries_per_stream >= 1"
+                )
+        for name in ("n_disks", "n_nodes", "t"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
+        # NaN passes a plain `< 1.0` guard and inf prices every seek
+        # as infinite; both would also enter config_hash.
+        if not 1.0 <= self.disk_degradation < float("inf"):
+            raise ValueError(
+                "disk_degradation must be finite and >= 1.0, "
+                f"got {self.disk_degradation!r}"
+            )
         if not self.fragmentation:
             raise ValueError("fragmentation must name at least one attribute")
+        try:
+            self.parsed_fragmentation()
+        except ValueError as exc:
+            raise ValueError(
+                f"fragmentation {self.fragmentation!r}: {exc}"
+            ) from None
         if self.mode != MODE_OPEN_SYSTEM:
             # The open-system knobs stay out of config_dict() for other
             # modes (hash stability), so they must hold their defaults

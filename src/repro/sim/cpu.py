@@ -57,16 +57,9 @@ class ProcessingNode(FifoServer):
         else:
             self._busy = True
             env._seq = seq = env._seq + 1
-            # Bursts reaching beyond the calendar window go to the
-            # far-future buckets (see FifoServer.submit).
-            time = env._now + duration
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (time, seq, self._complete_cb, (waiter, None, duration)),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb, (waiter, None, duration))
-                )
+            heappush(
+                env._heap,
+                (env._now + duration, seq, self._complete_cb,
+                 (waiter, None, duration)),
+            )
         return done

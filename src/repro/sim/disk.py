@@ -190,21 +190,11 @@ class Disk(FifoServer):
             self._busy = True
             duration = self._service(extents, base)
             env._seq = seq = env._seq + 1
-            # Completions beyond the calendar window (degraded disks,
-            # huge coalesced reads) must go to the far-future buckets or
-            # they would shadow earlier bucketed entries.
-            time = env._now + duration
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (time, seq, self._complete_cb,
-                     (waiter, total_pages, duration)),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb,
-                     (waiter, total_pages, duration))
-                )
+            heappush(
+                env._heap,
+                (env._now + duration, seq, self._complete_cb,
+                 (waiter, total_pages, duration)),
+            )
         return done
 
     def read_batch(
@@ -243,15 +233,10 @@ class Disk(FifoServer):
                 requests, env._now, 0.0, False
             )
             env._seq = seq = env._seq + 1
-            if end < env._cal_end:
-                heappush(
-                    env._heap,
-                    (end, seq, self._complete_cb, (waiter, pages, durations)),
-                )
-            else:
-                env._cal_push(
-                    (end, seq, self._complete_cb, (waiter, pages, durations))
-                )
+            heappush(
+                env._heap,
+                (end, seq, self._complete_cb, (waiter, pages, durations)),
+            )
         return done
 
     def _price_batch(
@@ -336,21 +321,11 @@ class Disk(FifoServer):
                     )
                 time = env._now + next_duration
             env._seq = seq = env._seq + 1
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (
-                        time,
-                        seq,
-                        self._complete_cb,
-                        (next_waiter, next_value, next_duration),
-                    ),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb,
-                     (next_waiter, next_value, next_duration))
-                )
+            heappush(
+                env._heap,
+                (time, seq, self._complete_cb,
+                 (next_waiter, next_value, next_duration)),
+            )
         else:
             self._busy = False
         env._deliver(waiter, value)

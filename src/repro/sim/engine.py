@@ -9,12 +9,13 @@ triggers with the list of its children's values in child order.
 The engine is deliberately small — the behavioural fidelity of the
 simulation lives in the server models (disk, CPU, network), not here.
 
-Dispatch order is the total order of ``(time, seq)``: ties at one
-simulation time resolve in scheduling (FIFO) order.  Callbacks
-scheduled with zero delay *during* dispatch go to a FIFO ready deque
-that is merged with the time heap by ``(time, seq)``, avoiding heap
-traffic for the dominant zero-delay case while preserving the order
-exactly.
+The schedule is one binary heap of ``(time, seq, callback, value)``
+entries plus a FIFO ready deque, and dispatch order is the total order
+of ``(time, seq)``: ties at one simulation time resolve in scheduling
+(FIFO) order.  Callbacks scheduled with zero delay *during* dispatch go
+to the ready deque, which is merged with the heap by ``(time, seq)``,
+avoiding heap traffic for the dominant zero-delay case while preserving
+the order exactly.
 
 ``Event.succeed`` never runs a waiter inline: succeed() can sit in the
 middle of the currently-dispatched callback, and running the waiter
@@ -37,34 +38,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from math import nextafter
 from typing import Any, Callable, Generator, Iterable
 
 #: Type of a simulation process body.
 ProcessBody = Generator["Event", Any, Any]
 
 _INF = float("inf")
-
-#: Initial calendar bucket width in simulated seconds.  Service times in
-#: the warehouse model are micro- to milliseconds, so the near-future
-#: window (the active heap) absorbs almost every push with a single
-#: float comparison; think times, arrival gaps and analytic skips land
-#: in the far-future buckets.
-_CAL_WIDTH = 1.0
-
-#: Refilling a bucket with more entries than this halves the bucket
-#: width first, so dense far-future storms do not degenerate into one
-#: giant heapify.
-_CAL_RESIZE = 512
-
-#: Width floor for the resize loop: below this, remaining ties are
-#: (near-)exact and halving cannot spread them further.
-_CAL_MIN_WIDTH = 1e-9
-
-#: Bucket keys are ``int(time / width)``; keys at or beyond this are
-#: clamped into one shared overflow bucket so extreme-but-finite times
-#: cannot overflow the int conversion after aggressive width halving.
-_CAL_MAX_KEY = 1 << 62
 
 
 def _reject_delay(delay: float) -> None:
@@ -116,20 +95,13 @@ class Event:
             # the middle of the current callback, and running the
             # waiter before that callback's remainder inverts the
             # (time, seq) order of anything both sides schedule at this
-            # instant.  Inline tails survive only in the fused server
-            # completions (disk/resources), where succeed is provably
-            # the dispatched callback's final action.
+            # instant.  Inline tails survive only in
+            # Environment._deliver, which server completions and network
+            # hops call as the dispatched callback's final action.
             env._seq = seq = env._seq + 1
             env._ready.append((seq, callbacks, value))
         else:
-            # ``now`` can sit beyond the calendar window after a
-            # ``run(until)`` horizon stop, so even a push at the current
-            # time must respect the window split.
-            env._seq = seq = env._seq + 1
-            if env._now < env._cal_end:
-                heapq.heappush(env._heap, (env._now, seq, callbacks, value))
-            else:
-                env._cal_push((env._now, seq, callbacks, value))
+            env._schedule(0.0, callbacks, value)
         return self
 
     def wait(self, callback: Callable[[Any], None]) -> None:
@@ -231,36 +203,26 @@ class Process:
 
 
 class Environment:
-    """The event loop: a clock, a calendar queue and a ready deque.
+    """The event loop: a clock, one binary heap and a ready deque.
 
-    The schedule is split three ways by urgency:
+    * The **ready deque** holds zero-delay callbacks scheduled during
+      dispatch.  Every entry sits at the current simulation time, so
+      merging it with the heap needs only a ``(time, seq)`` comparison
+      against the heap head, and the dominant zero-delay case costs no
+      heap traffic.
+    * The **heap** holds every other pending ``(time, seq, callback,
+      value)`` entry, near or far future alike.  The CPU, disk and FIFO
+      servers push their completions onto it with ``heapq.heappush``
+      and a fresh ``seq``, exactly as :meth:`_schedule` would.
 
-    * a FIFO **ready deque** for zero-delay callbacks scheduled during
-      dispatch (every entry sits at the current simulation time, so the
-      merge with the heap only needs a ``(time, seq)`` comparison
-      against the heap head);
-    * an **active heap** holding every pending entry with
-      ``time < _cal_end`` (the near-future window — service completions
-      in the warehouse model are micro- to milliseconds, so nearly all
-      traffic stays here and pays one extra float comparison over a
-      plain binary heap);
-    * far-future **calendar buckets**: a dict keyed by
-      ``int(time / _cal_width)`` of unsorted entry lists (O(1) append —
-      no heap traffic for think times, arrival gaps and analytic
-      skips).  When the heap drains, :meth:`_cal_refill` moves the
-      earliest bucket into it and advances ``_cal_end``.
-
-    Ordering invariant: bucket keys are monotone in time (IEEE division
-    and truncation are monotone), every bucketed entry's time is at or
-    beyond ``_cal_end``, and the heap only ever receives entries below
-    ``_cal_end`` — so heap ∪ ready always dispatches before any bucket,
-    and a refill (heapify of one bucket while the heap is empty)
-    preserves the exact ``(time, seq)`` total order of a single heap.
+    Far-future entries (think times, arrival gaps) share the heap:
+    pending entries are few, since service times are micro- to
+    milliseconds, and a bucketed calendar in front of the heap made no
+    benchmark workload faster.
     """
 
     __slots__ = (
         "_now", "_heap", "_ready", "_seq", "_dispatching", "event_count",
-        "_buckets", "_cal_width", "_cal_end",
     )
 
     def __init__(self):
@@ -271,77 +233,11 @@ class Environment:
         self._seq = 0
         self._dispatching = False
         self.event_count = 0
-        #: Far-future calendar: bucket key -> unsorted entry list.
-        self._buckets: dict[int, list] = {}
-        self._cal_width = _CAL_WIDTH
-        self._cal_end = _CAL_WIDTH
 
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    def _cal_push(self, entry: tuple) -> None:
-        """File one entry (with ``time >= _cal_end``) into its bucket."""
-        key = entry[0] / self._cal_width
-        key = int(key) if key < _CAL_MAX_KEY else _CAL_MAX_KEY
-        buckets = self._buckets
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [entry]
-        else:
-            bucket.append(entry)
-
-    def _cal_refill(self) -> None:
-        """Move the earliest calendar bucket into the (empty) heap.
-
-        Pops the minimal bucket, heapifies its entries and advances
-        ``_cal_end`` to the bucket's upper boundary — computed with the
-        same ``int(time / width)`` key function used at insert, walked
-        down by ulps so that *every* float below the new ``_cal_end``
-        provably maps to the popped bucket or below.  A bucket holding
-        more than ``_CAL_RESIZE`` entries halves the width (rebucketing
-        all pending entries) before the pop, so overloaded buckets keep
-        their refill heapify bounded.
-        """
-        buckets = self._buckets
-        width = self._cal_width
-        while True:
-            index = min(buckets)
-            if (
-                len(buckets[index]) <= _CAL_RESIZE
-                or width <= _CAL_MIN_WIDTH
-            ):
-                break
-            width = self._cal_width = width / 2.0
-            entries = [
-                # repro-lint: disable=DET-ORDER -- bucket dict insertion
-                # order is deterministic; rebuild preserves arrival order.
-                entry for bucket in buckets.values() for entry in bucket
-            ]
-            buckets.clear()
-            for entry in entries:
-                key = entry[0] / width
-                key = int(key) if key < _CAL_MAX_KEY else _CAL_MAX_KEY
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [entry]
-                else:
-                    bucket.append(entry)
-        heap = self._heap
-        heap.extend(buckets.pop(index))
-        heapq.heapify(heap)
-        if index >= _CAL_MAX_KEY:
-            # The shared overflow bucket is always the last to drain;
-            # afterwards the heap is the whole schedule again.
-            self._cal_end = _INF
-            return
-        end = (index + 1) * width
-        prev = nextafter(end, 0.0)
-        while int(prev / width) > index:
-            end = prev
-            prev = nextafter(end, 0.0)
-        self._cal_end = end
 
     def _schedule(
         self, delay: float, callback: Callable[[Any], None], value: Any
@@ -349,19 +245,15 @@ class Environment:
         # The dominant zero-delay-during-dispatch case keeps its single
         # comparison; other delays pay one extra bound check so NaN
         # (which compares false to everything) and inf never reach the
-        # heap, plus the calendar window split.
+        # heap.
         if delay == 0.0 and self._dispatching:
             self._seq += 1
             self._ready.append((self._seq, callback, value))
         elif 0.0 <= delay < _INF:
-            time = self._now + delay
             self._seq += 1
-            if time < self._cal_end:
-                heapq.heappush(
-                    self._heap, (time, self._seq, callback, value)
-                )
-            else:
-                self._cal_push((time, self._seq, callback, value))
+            heapq.heappush(
+                self._heap, (self._now + delay, self._seq, callback, value)
+            )
         else:
             _reject_delay(delay)
 
@@ -422,11 +314,8 @@ class Environment:
             # NaN falls through the first comparison to this one.
             raise ValueError(f"delay must be finite, got {when!r}")
         event = Event(self)
-        self._seq = seq = self._seq + 1
-        if when < self._cal_end:
-            heapq.heappush(self._heap, (when, seq, event.succeed, value))
-        else:
-            self._cal_push((when, seq, event.succeed, value))
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, event.succeed, value))
         return event
 
     def process(self, body: ProcessBody) -> Process:
@@ -464,9 +353,6 @@ class Environment:
                     callback(value)
                     continue
                 if not heap:
-                    if self._buckets:
-                        self._cal_refill()
-                        continue
                     break
                 time = heap[0][0]
                 if until is not None and time > until:
@@ -512,9 +398,6 @@ class Environment:
                     callback(value)
                     continue
                 if not heap:
-                    if self._buckets:
-                        self._cal_refill()
-                        continue
                     break
                 time, _seq, callback, value = pop(heap)
                 self._now = time

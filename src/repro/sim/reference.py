@@ -3,8 +3,9 @@
 This module exists for one purpose: to be the *obviously correct* side
 of the stateful equivalence harness
 (``tests/properties/test_engine_equivalence.py``) that pins the
-production engine's observable timeline before any hot-loop refactor
-(batch advancement, calendar queues, ...) lands.
+production engine's observable timeline through every hot-loop
+refactor (the ready deque, same-instant batches, inline completion
+tails, ...).
 
 It mirrors the public surface of :mod:`repro.sim.engine` —
 ``event`` / ``timeout`` / ``timeout_at`` / ``process`` / ``all_of`` /

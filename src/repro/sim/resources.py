@@ -88,20 +88,13 @@ class FifoServer:
                 raise ValueError(f"negative service time on {self.name!r}")
             # Scheduling inlined (hot path): a zero-duration completion
             # lands on the heap at (now, seq), which the dispatch merge
-            # orders exactly like the ready deque would.  Completions
-            # beyond the calendar window go to the far-future buckets or
-            # they would shadow earlier bucketed entries.
+            # orders exactly like the ready deque would.
             env._seq = seq = env._seq + 1
-            time = env._now + duration
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (time, seq, self._complete_cb, (done, value, duration)),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb, (done, value, duration))
-                )
+            heappush(
+                env._heap,
+                (env._now + duration, seq, self._complete_cb,
+                 (done, value, duration)),
+            )
         return done
 
     def _complete(self, entry: tuple[Any, Any, float]) -> None:
@@ -123,22 +116,11 @@ class FifoServer:
             if next_duration < 0:
                 raise ValueError(f"negative service time on {self.name!r}")
             env._seq = seq = env._seq + 1
-            time = env._now + next_duration
-            if time < env._cal_end:
-                heappush(
-                    env._heap,
-                    (
-                        time,
-                        seq,
-                        self._complete_cb,
-                        (next_waiter, next_value, next_duration),
-                    ),
-                )
-            else:
-                env._cal_push(
-                    (time, seq, self._complete_cb,
-                     (next_waiter, next_value, next_duration))
-                )
+            heappush(
+                env._heap,
+                (env._now + next_duration, seq, self._complete_cb,
+                 (next_waiter, next_value, next_duration)),
+            )
         else:
             self._busy = False
         env._deliver(waiter, value)

@@ -50,12 +50,12 @@ QUICK = _tier(20)
 #: Delays for timeouts.  Heavily weighted toward a small set of exact
 #: values so same-instant ties (several events at one simulation time)
 #: and zero-delay chains occur constantly; the float tail keeps
-#: arbitrary finite delays in play.  The ``nextafter`` pair straddles
-#: the production engine's initial calendar-queue window boundary
-#: (width 1.0) by one ulp on each side, and the huge values force
-#: entries through the far-future buckets — including the overflow
-#: bucket — so heap/bucket routing is exercised against the reference
-#: engine, which has no such machinery at all.
+#: arbitrary finite delays in play.  The ``nextafter`` pair sits one
+#: ulp either side of 1.0, so distinct times that differ in the last
+#: bit must still dispatch in time order, and the huge values put
+#: entries far beyond everything else on the schedule (``1e19`` also
+#: leaves later offsets below one ulp of ``now``, so they round onto
+#: the current instant).
 delays = st.one_of(
     st.sampled_from(
         [

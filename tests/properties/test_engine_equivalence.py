@@ -6,8 +6,7 @@ succeed, fused tails) and :class:`repro.sim.reference.ReferenceEnvironment`
 (one sorted list, nothing else) through *identical* random operation
 sequences — timeouts with same-instant ties and zero-delay chains,
 absolute-time ``timeout_at`` schedules (including offsets one ulp
-either side of the production calendar-queue window and far-future
-values that land in its overflow bucket),
+either side of 1.0 and huge far-future values),
 ``AllOf`` joins over overlapping / pre-triggered / empty child sets,
 processes that succeed events mid-dispatch, ``run(until)`` horizons
 (including horizons in the past), buffer probes through a shared-shape
@@ -219,10 +218,9 @@ class EngineEquivalenceMachine(RuleBasedStateMachine):
     def add_timeout_at(self, offset, value, observed):
         """Absolute-time scheduling; ``offset`` may be 0 (fire *now*).
 
-        Bucket-boundary offsets from the ``delays`` strategy land these
-        one ulp either side of the production engine's calendar window,
-        and the huge offsets route through the far-future buckets — the
-        reference engine sorts one flat list either way.
+        The ``delays`` strategy's one-ulp offsets around 1.0 and its
+        huge far-future offsets pin exact ``(time, seq)`` order at the
+        float extremes; the reference engine sorts one flat list.
         """
         when = self.ref.now + offset
         self._register(

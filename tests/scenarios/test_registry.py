@@ -136,6 +136,24 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(run_id="a", query="1STORE",
                     fragmentation=("time::month",), schema="huge")
+        bad_values = [
+            ({"disk_degradation": float("nan")}, "disk_degradation"),
+            ({"disk_degradation": float("inf")}, "disk_degradation"),
+            ({"mode": "multi_user", "streams": 2, "queries_per_stream": 0},
+             "queries_per_stream"),
+            ({"mode": "open_system", "queries_per_stream": 0},
+             "queries_per_stream"),
+            ({"fragmentation": ("time.month",)}, "fragmentation"),
+            ({"fragmentation": ("time::month", "time::quarter")},
+             "fragmentation"),
+            ({"n_disks": 0}, "n_disks"),
+            ({"n_nodes": 0}, "n_nodes"),
+            ({"t": 0}, "t must be"),
+        ]
+        for overrides, field_name in bad_values:
+            kwargs = {"fragmentation": ("time::month",), **overrides}
+            with pytest.raises(ValueError, match=field_name):
+                RunSpec(run_id="a", query="1STORE", **kwargs)
 
     def test_scenario_spec_validation(self):
         run = RunSpec(run_id="a", query="1STORE",

@@ -138,17 +138,20 @@ class TestDiskParametersValidation:
 
     def test_degraded_scenario_timings_validated(self):
         # The degraded-disk scenarios scale the timings; a non-finite
-        # factor fails when the parameters are built.
+        # factor fails when the run point is built, and a non-finite
+        # scaled timing fails when the parameters are built.
         from repro.scenarios.spec import RunSpec
 
-        spec = RunSpec(
-            run_id="inf",
-            query="1STORE",
-            fragmentation=("time::month",),
-            disk_degradation=math.inf,
-        )
+        with pytest.raises(ValueError, match="disk_degradation"):
+            RunSpec(
+                run_id="inf",
+                query="1STORE",
+                fragmentation=("time::month",),
+                disk_degradation=math.inf,
+            )
+        disk = DiskParameters()
         with pytest.raises(ValueError, match="avg_seek_ms"):
-            spec.sim_params()
+            replace(disk, avg_seek_ms=disk.avg_seek_ms * math.inf)
 
 
 class TestBufferParametersValidation:

@@ -422,31 +422,28 @@ class TestDispatchEdgeCases:
             env.run()
 
 
-class TestCalendarQueue:
-    """Far-future entries travel through the calendar buckets; the
-    dispatch order must be indistinguishable from a single heap."""
+class TestFarFutureOrdering:
+    """Entries far beyond the current instant (think times, arrival
+    gaps, degraded-disk completions) dispatch in exact ``(time, seq)``
+    order, interleaved with near-future ones."""
 
     def test_far_and_near_interleave_in_time_order(self):
-        from repro.sim.engine import _CAL_WIDTH
-
         env = Environment()
         log = []
-        # Far first (lands in a bucket), then near (stays on the heap),
-        # then farther still — dispatch must be pure time order.
-        env.timeout(_CAL_WIDTH * 3.5).wait(lambda _v: log.append("far"))
-        env.timeout(_CAL_WIDTH * 0.25).wait(lambda _v: log.append("near"))
-        env.timeout(_CAL_WIDTH * 7.25).wait(lambda _v: log.append("farther"))
-        env.timeout(_CAL_WIDTH * 1.5).wait(lambda _v: log.append("mid"))
+        # Far first, then near, then farther still — dispatch must be
+        # pure time order.
+        env.timeout(3.5).wait(lambda _v: log.append("far"))
+        env.timeout(0.25).wait(lambda _v: log.append("near"))
+        env.timeout(7.25).wait(lambda _v: log.append("farther"))
+        env.timeout(1.5).wait(lambda _v: log.append("mid"))
         env.run()
         assert log == ["near", "mid", "far", "farther"]
-        assert env.now == _CAL_WIDTH * 7.25
+        assert env.now == 7.25
 
-    def test_fifo_ties_preserved_across_the_window_boundary(self):
-        from repro.sim.engine import _CAL_WIDTH
-
+    def test_fifo_ties_preserved_far_in_the_future(self):
         env = Environment()
         log = []
-        when = _CAL_WIDTH * 2.0  # beyond the initial window: bucketed
+        when = 2.0
         for tag in range(4):
             env.timeout(when, tag).wait(
                 lambda _v, tag=tag: log.append(tag)
@@ -454,71 +451,58 @@ class TestCalendarQueue:
         env.run()
         assert log == [0, 1, 2, 3]
 
-    def test_boundary_delays_straddle_the_window_exactly(self):
+    def test_delays_one_ulp_apart_dispatch_in_time_order(self):
         from math import nextafter
-
-        from repro.sim.engine import _CAL_WIDTH
 
         env = Environment()
         log = []
         for when in (
-            nextafter(_CAL_WIDTH, 0.0),      # last float inside the window
-            _CAL_WIDTH,                       # first float beyond it
-            nextafter(_CAL_WIDTH, 2.0),
+            nextafter(1.0, 0.0),
+            1.0,
+            nextafter(1.0, 2.0),
         ):
             env.timeout(when, when).wait(lambda v: log.append(v))
         env.run()
         assert log == sorted(log)
-        assert env.now == nextafter(_CAL_WIDTH, 2.0)
+        assert env.now == nextafter(1.0, 2.0)
 
-    def test_callback_scheduling_back_into_a_drained_bucket_range(self):
-        """A callback dispatched from a refilled bucket can schedule new
-        work inside the same bucket's time range; it must still run in
-        time order (the refill boundary walk guarantees the new entry
-        goes to the heap, not a stale bucket)."""
-        from repro.sim.engine import _CAL_WIDTH
-
+    def test_callback_scheduling_between_pending_far_entries(self):
+        """A callback dispatched far in the future can schedule new work
+        before the next pending far entry; it must still run in time
+        order."""
         env = Environment()
         log = []
 
         def first(_value):
             log.append(("first", env.now))
-            # Same bucket range as `second`, scheduled mid-bucket.
-            env.timeout(_CAL_WIDTH * 0.2, None).wait(
+            env.timeout(0.2, None).wait(
                 lambda _v: log.append(("inserted", env.now))
             )
 
-        env.timeout(_CAL_WIDTH * 5.1).wait(first)
-        env.timeout(_CAL_WIDTH * 5.7).wait(lambda _v: log.append(("second", env.now)))
+        env.timeout(5.1).wait(first)
+        env.timeout(5.7).wait(lambda _v: log.append(("second", env.now)))
         env.run()
         assert log == [
-            ("first", _CAL_WIDTH * 5.1),
-            ("inserted", _CAL_WIDTH * 5.1 + _CAL_WIDTH * 0.2),
-            ("second", _CAL_WIDTH * 5.7),
+            ("first", 5.1),
+            ("inserted", 5.1 + 0.2),
+            ("second", 5.7),
         ]
 
-    def test_resize_splits_an_overloaded_bucket(self):
-        from repro.sim.engine import _CAL_RESIZE, _CAL_WIDTH
-
+    def test_many_close_far_future_entries_dispatch_in_time_order(self):
         env = Environment()
         log = []
-        n = _CAL_RESIZE + 64
-        # All land in one far bucket; the refill must halve the width
-        # (at least once) before heapifying, and order must hold.
+        n = 512 + 64
         for i in range(n):
-            when = _CAL_WIDTH * (2.0 + (i % 97) / 100.0)
+            when = 2.0 + (i % 97) / 100.0
             env.timeout(when, (when, i)).wait(lambda v: log.append(v))
         env.run()
         assert log == sorted(log)
         assert len(log) == n
-        assert env._cal_width < _CAL_WIDTH
 
-    def test_extreme_far_future_times_share_the_overflow_bucket(self):
-        from repro.sim.engine import _CAL_MAX_KEY, _CAL_WIDTH
-
+    def test_extreme_far_future_times_dispatch_in_order(self):
         env = Environment()
         log = []
-        huge = _CAL_WIDTH * _CAL_MAX_KEY * 4.0
+        huge = 1.0 * (1 << 62) * 4.0
         env.timeout(huge, "huge").wait(log.append)
         env.timeout(huge * 2.0, "huger").wait(log.append)
         env.timeout(1.0, "near").wait(log.append)
@@ -526,29 +510,24 @@ class TestCalendarQueue:
         assert log == ["near", "huge", "huger"]
         assert env.now == huge * 2.0
 
-    def test_run_until_mid_bucket_then_resume(self):
-        from repro.sim.engine import _CAL_WIDTH
-
+    def test_run_until_between_far_entries_then_resume(self):
         env = Environment()
         log = []
-        env.timeout(_CAL_WIDTH * 4.25, "bucketed").wait(log.append)
-        env.timeout(_CAL_WIDTH * 0.5, "near").wait(log.append)
-        assert env.run(until=_CAL_WIDTH * 2.0) == _CAL_WIDTH * 2.0
+        env.timeout(4.25, "far").wait(log.append)
+        env.timeout(0.5, "near").wait(log.append)
+        assert env.run(until=2.0) == 2.0
         assert log == ["near"]
-        assert env.now == _CAL_WIDTH * 2.0
+        assert env.now == 2.0
         env.run()
-        assert log == ["near", "bucketed"]
-        assert env.now == _CAL_WIDTH * 4.25
+        assert log == ["near", "far"]
+        assert env.now == 4.25
 
-    def test_event_count_matches_heap_only_timeline(self):
-        """The calendar path counts dispatches exactly like the heap
-        path: one per callback, regardless of which structure carried
-        the entry."""
-        from repro.sim.engine import _CAL_WIDTH
-
+    def test_event_count_counts_every_far_future_dispatch(self):
+        """One count per dispatched callback, however far ahead the
+        entry was scheduled."""
         env = Environment()
         for i in range(10):
-            env.timeout(_CAL_WIDTH * (0.1 + i))
+            env.timeout(0.1 + i)
         env.run()
         assert env.event_count == 10
 
@@ -607,13 +586,11 @@ class TestTimeoutAt:
             with pytest.raises(ValueError, match="must be finite"):
                 env.timeout_at(when)
 
-    def test_beyond_the_window_goes_through_the_calendar(self):
-        from repro.sim.engine import _CAL_WIDTH
-
+    def test_far_instant_dispatches_after_a_near_one(self):
         env = Environment()
         log = []
-        env.timeout_at(_CAL_WIDTH * 9.5, "far").wait(log.append)
-        env.timeout_at(_CAL_WIDTH * 0.5, "near").wait(log.append)
+        env.timeout_at(9.5, "far").wait(log.append)
+        env.timeout_at(0.5, "near").wait(log.append)
         env.run()
         assert log == ["near", "far"]
-        assert env.now == _CAL_WIDTH * 9.5
+        assert env.now == 9.5
