@@ -3,7 +3,7 @@
 The streaming metrics core claims a warehouse-scale open-system run
 costs O(1) metric memory per query under ``record_retention="bounded"``.
 This script *measures* the claim with ``tracemalloc``: it executes the
-warehouse simulation at two session counts a factor ``--scale-ratio``
+warehouse simulation at two session counts a factor ``--large / --small``
 apart (database build excluded from tracing — it is scale-independent)
 and fails unless the traced peak at the large scale stays within
 ``--max-growth`` of the small scale.  Full retention is measured at the
@@ -37,17 +37,20 @@ import argparse
 import json
 import random
 import sys
-import time
 import tracemalloc
 from dataclasses import replace
 
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import _database_for, _schema_for
+from repro.scenarios.runner import (
+    _database_for,
+    _schema_for,
+    _session_query_factory,
+)
 from repro.sim.simulator import ParallelWarehouseSimulator
 from repro.workload.queries import query_type
 
 
-def _warehouse_run(streams: int, retention: str, stream_shards: int = 1):
+def _warehouse_run(streams: int, retention: str):
     """A warehouse_scale run point resized to ``streams`` sessions."""
     base = get_scenario("warehouse_scale").runs[0]
     return replace(
@@ -55,20 +58,12 @@ def _warehouse_run(streams: int, retention: str, stream_shards: int = 1):
         run_id=f"mem_{retention}_{streams}",
         streams=streams,
         record_retention=retention,
-        stream_shards=stream_shards,
     )
 
 
-def measure(streams: int, retention: str, stream_shards: int = 1) -> dict:
-    """Traced peak metric memory (KiB) of one open-system run.
-
-    With ``stream_shards > 1`` each session slice is simulated and
-    traced separately (``tracemalloc.reset_peak`` between slices) and
-    folded incrementally, so ``traced_peak_kib`` is the footprint one
-    stream-shard *worker* would hold — the per-worker flatness evidence
-    — and ``per_shard_peak_kib`` lists every slice.
-    """
-    run = _warehouse_run(streams, retention, stream_shards)
+def measure(streams: int, retention: str) -> dict:
+    """Traced peak metric memory (KiB) of one open-system run."""
+    run = _warehouse_run(streams, retention)
     schema = _schema_for(run)
     # The database/simulator build allocates a scale-independent chunk;
     # keep it outside the traced window so the measurement isolates the
@@ -79,62 +74,22 @@ def measure(streams: int, retention: str, stream_shards: int = 1) -> dict:
         run.sim_params(),
         database=_database_for(run, schema),
     )
-    template = query_type(run.query)
-
-    def session_queries(session: int) -> list:
-        return [
-            template.instantiate(
-                schema,
-                random.Random(
-                    run.seed + run.stream_seed_stride * session + q
-                ),
-            )
-            for q in range(run.queries_per_stream)
-        ]
-
-    started = time.perf_counter()
-    per_shard: list[float] | None = None
+    session_queries = _session_query_factory(run, schema)
     tracemalloc.start()
     try:
-        if stream_shards == 1:
-            result = simulator.run_open_system(
-                run.streams, run.workload_params(),
-                query_factory=session_queries,
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        else:
-            from repro.sim.metrics import SimulationResult
-            from repro.workload.arrivals import partition_sessions
-
-            merged = SimulationResult(retention=retention)
-            per_shard = []
-            for session_slice in partition_sessions(streams, stream_shards):
-                tracemalloc.reset_peak()
-                merged = merged.merge(
-                    simulator.run_open_system(
-                        run.streams, run.workload_params(),
-                        query_factory=session_queries,
-                        session_slice=session_slice,
-                    )
-                )
-                _, shard_peak = tracemalloc.get_traced_memory()
-                per_shard.append(round(shard_peak / 1024, 1))
-            result = merged
-            peak = max(per_shard) * 1024
+        result = simulator.run_open_system(
+            run.streams, run.workload_params(), query_factory=session_queries
+        )
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    measurement = {
+    return {
         "sessions": streams,
         "retention": retention,
-        "stream_shards": stream_shards,
         "query_count": result.query_count,
         "records_retained": result.records_retained,
         "traced_peak_kib": round(peak / 1024, 1),
-        "wall_clock_s": round(time.perf_counter() - started, 2),
     }
-    if per_shard is not None:
-        measurement["per_shard_peak_kib"] = per_shard
-    return measurement
 
 
 # Largest allowed traced peak of the --expansion check.  Block-wise
@@ -158,7 +113,6 @@ def measure_expansion() -> dict:
     database = _database_for(run, schema)
     query = query_type(run.query).instantiate(schema, random.Random(run.seed))
     plan = database.plan(query)
-    started = time.perf_counter()
     units = 0
     tracemalloc.start()
     try:
@@ -172,7 +126,6 @@ def measure_expansion() -> dict:
         "selected_fragments": plan.fragment_count,
         "units": units,
         "traced_peak_mib": round(peak / 2**20, 2),
-        "wall_clock_s": round(time.perf_counter() - started, 2),
     }
 
 
@@ -218,19 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         help="measure only bounded retention (halves the runtime)",
     )
     parser.add_argument(
-        "--stream-shards", type=int, default=1, metavar="N",
-        help="partition each run's session axis into N stream shards; "
-             "every shard is traced separately, so the reported peak is "
-             "one worker's footprint (default 1 = the serial run)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="declared stream-shard worker budget; validated against "
-             "this host's CPU count (the measurement itself runs each "
-             "shard in-process precisely so the traced peak is exactly "
-             "one worker's footprint)",
-    )
-    parser.add_argument(
         "--expansion", action="store_true",
         help="check the work expander instead of retention: drain the "
              "cluster32 expansion under tracemalloc",
@@ -241,24 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.large <= args.small:
         print("error: --large must exceed --small", file=sys.stderr)
         return 2
-    if args.stream_shards < 1 or args.jobs < 1:
-        print("error: --stream-shards and --jobs must be >= 1",
-              file=sys.stderr)
-        return 2
-    from repro.scenarios.shard import stream_oversubscription_error
-
-    problem = stream_oversubscription_error(args.jobs, args.stream_shards)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-
     measurements = [
-        measure(args.small, "bounded", args.stream_shards),
-        measure(args.large, "bounded", args.stream_shards),
+        measure(args.small, "bounded"),
+        measure(args.large, "bounded"),
     ]
     if not args.skip_full:
-        measurements.append(measure(args.small, "full", args.stream_shards))
-        measurements.append(measure(args.large, "full", args.stream_shards))
+        measurements.append(measure(args.small, "full"))
+        measurements.append(measure(args.large, "full"))
 
     by_key = {(m["retention"], m["sessions"]): m for m in measurements}
     bounded_growth = (
@@ -267,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     report = {
         "scale_ratio": round(args.large / args.small, 2),
-        "stream_shards": args.stream_shards,
         "bounded_peak_growth": round(bounded_growth, 3),
         "max_allowed_growth": args.max_growth,
         "measurements": measurements,

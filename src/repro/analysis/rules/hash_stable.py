@@ -2,9 +2,9 @@
 
 ``RunSpec.config_hash()`` is the identity under which golden
 fingerprints are filed.  Adding a dataclass field silently changes (or
-silently fails to change) every hash, which is how PRs 8–9 ended up
-hand-crafting the ``record_retention``/``stream_shards`` exclusion
-dance after the fact.  This rule makes the decision explicit: each
+silently fails to change) every hash, which is how the
+``record_retention`` exclusion came to be hand-crafted after the
+fact.  This rule makes the decision explicit: each
 field of the registered config classes must appear in
 ``scenarios/hash_registry.py`` with a policy —
 

@@ -260,7 +260,6 @@ def _cmd_bench_regen_all(args: argparse.Namespace) -> int:
         ("--scenario", args.scenario), ("--out", args.out),
         ("--runs", args.runs), ("--seed", args.seed),
         ("--seeds", args.seeds), ("--check", args.check),
-        ("--stream-shards", args.stream_shards),
     ):
         if value is not None:
             print(f"error: {flag} cannot be combined with --regen-all",
@@ -372,9 +371,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ("--out", args.out), ("--runs", args.runs),
             ("--seed", args.seed), ("--seeds", args.seeds),
             ("--check", args.check),
-            # Goldens pin the serial physics; a sharded regeneration
-            # would silently re-pin the partitioned approximation.
-            ("--stream-shards", args.stream_shards),
         ):
             if value is not None:
                 print(f"error: {flag} cannot be combined with --regen",
@@ -456,21 +452,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     jobs = _bench_jobs(args)
-    if args.stream_shards is not None:
-        from repro.scenarios.shard import stream_oversubscription_error
-
-        problem = stream_oversubscription_error(jobs, args.stream_shards)
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
     try:
         # The runner owns the semantic validation (jobs >= 1, distinct
-        # non-empty seeds, seed-vs-seeds exclusivity, stream_shards >= 1
-        # and open-system-only), so library and CLI callers share one
-        # set of rules.
+        # non-empty seeds, seed-vs-seeds exclusivity), so library and
+        # CLI callers share one set of rules.
         runner = ScenarioRunner(
             scenario, jobs=jobs, fast=args.fast, seed=args.seed,
-            run_ids=run_ids, seeds=seeds, stream_shards=args.stream_shards,
+            run_ids=run_ids, seeds=seeds,
             on_shard=_shard_progress if jobs > 1 else None,
             on_warm=_warm_progress if jobs > 1 else None,
         )
@@ -626,16 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--workers", type=int, default=None,
         help="deprecated alias for --jobs",
-    )
-    bench.add_argument(
-        "--stream-shards", type=int, default=None, metavar="N",
-        help="split each open-system run's session axis into N "
-             "independently simulated partitions folded with the exact "
-             "merge algebra (intra-run parallelism; pooled up to "
-             "min(N, --jobs) workers on the serial driver path). "
-             "N > 1 approximates cross-partition contention, so the "
-             "config hash gains a partition_mode marker — sharded "
-             "reports never compare equal to serial goldens",
     )
     bench.add_argument(
         "--out", default=None,

@@ -8,8 +8,8 @@ a policy deciding its relationship to ``RunSpec.config_hash()``:
   its *default* re-keys every committed fingerprint (don't).
 * ``"default-excluded"`` — the field is dropped from ``config_dict()``
   while it holds its default, so the knob's introduction left every
-  pre-existing ``config_hash`` untouched (the PR 8–9 pattern for
-  ``record_retention`` / ``stream_shards`` / the open-system knobs).
+  pre-existing ``config_hash`` untouched (the pattern of
+  ``record_retention`` and the open-system knobs).
 * ``"fixed-constant"`` — structural Table-4 constants that never vary
   per run point and are intentionally outside the hash.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-from repro.scenarios.spec import MODE_OPEN_SYSTEM, MODE_SIM, RunSpec
+from repro.scenarios.spec import MODE_SIM, RunSpec
 from repro.sim.config import SimulationParameters, WorkloadParameters
 
 HASH_AFFECTING = "hash-affecting"
@@ -70,10 +70,6 @@ CONFIG_HASH_REGISTRY: dict[str, dict[str, tuple[str, str]]] = {
             DEFAULT_EXCLUDED,
             "scheduling knob, physics-neutral (PR 8)",
         ),
-        "stream_shards": (
-            DEFAULT_EXCLUDED,
-            "serial path bit-identical; >1 hashes partition_mode (PR 9)",
-        ),
     },
     # SimulationParameters is never hashed directly: its identity flows
     # through the RunSpec fields that drive sim_params().  Policies
@@ -97,7 +93,6 @@ CONFIG_HASH_REGISTRY: dict[str, dict[str, tuple[str, str]]] = {
             "mirrors RunSpec.max_concurrent",
         ),
         "record_retention": (DEFAULT_EXCLUDED, "mirrors RunSpec (PR 8)"),
-        "stream_shards": (DEFAULT_EXCLUDED, "mirrors RunSpec (PR 9)"),
         "seed": (HASH_AFFECTING, "mirrors RunSpec"),
     },
     "WorkloadParameters": {
@@ -204,24 +199,6 @@ def probe_open_system_mirror() -> list[tuple[str, str]]:
 def probe_nondefault_knobs_hash() -> list[tuple[str, str]]:
     """Non-default excluded knobs must re-enter the hashed config."""
     violations: list[tuple[str, str]] = []
-    sharded = _probe_spec(mode=MODE_OPEN_SYSTEM, stream_shards=2)
-    config = sharded.config_dict()
-    if "stream_shards" not in config:
-        violations.append(
-            (
-                "probe: non-default stream_shards not hashed",
-                "stream_shards=2 must appear in config_dict() — a sharded "
-                "run may not reuse a serial run's hash",
-            )
-        )
-    if config.get("partition_mode") != "independent":
-        violations.append(
-            (
-                "probe: partition_mode marker missing",
-                "stream_shards>1 must hash partition_mode='independent' "
-                "(declared physics decomposition)",
-            )
-        )
     bounded = _probe_spec(mode="multi_user", record_retention="bounded")
     if "record_retention" not in bounded.config_dict():
         violations.append(

@@ -239,7 +239,7 @@ def _session_query_factory(run: RunSpec, schema):
 
     Each session's queries come from their own derived RNG, so the
     factory is byte-identical to materialising every stream up front,
-    independent of which process (or stream shard) instantiates it.
+    independent of which process instantiates it.
     """
     from repro.workload.queries import query_type
 
@@ -259,16 +259,9 @@ def _session_query_factory(run: RunSpec, schema):
     return session_queries
 
 
-def _execute_stream_slice(work: tuple):
-    """Simulate one session slice of one run (top-level: pools pickle it).
-
-    Returns the slice's ``SimulationResult`` (picklable in both
-    retention modes); the driver folds the slices in plan order with
-    the exact merge algebra.
-    """
+def _open_system_metrics(run: RunSpec) -> dict:
     from repro.sim.simulator import ParallelWarehouseSimulator
 
-    run, start, stop = work
     schema = _schema_for(run)
     simulator = ParallelWarehouseSimulator(
         schema,
@@ -276,75 +269,11 @@ def _execute_stream_slice(work: tuple):
         run.sim_params(),
         database=_database_for(run, schema),
     )
-    return simulator.run_open_system(
+    result = simulator.run_open_system(
         run.streams,
         run.workload_params(),
         query_factory=_session_query_factory(run, schema),
-        session_slice=(start, stop),
     )
-
-
-def _open_system_result(run: RunSpec, stream_jobs: int = 1):
-    """One open-system run's merged ``SimulationResult``.
-
-    ``run.stream_shards == 1`` is the historical serial path, untouched.
-    Sharded runs cut the session axis with :func:`plan_stream_shards`
-    and execute the slices either sequentially in-process
-    (``stream_jobs <= 1``) or across a fork-context pool of
-    ``min(stream_jobs, nonempty slices)`` workers that inherit the
-    driver's warmed schema/database caches.  Both execution shapes fold
-    the same per-slice results through the same exact merge, so the
-    metrics are byte-identical for any ``stream_jobs``.
-    """
-    from repro.scenarios.shard import (
-        merge_simulation_results,
-        plan_stream_shards,
-    )
-    from repro.sim.simulator import ParallelWarehouseSimulator
-
-    schema = _schema_for(run)
-    simulator = ParallelWarehouseSimulator(
-        schema,
-        run.parsed_fragmentation(),
-        run.sim_params(),
-        database=_database_for(run, schema),
-    )
-    session_queries = _session_query_factory(run, schema)
-    if run.stream_shards == 1:
-        return simulator.run_open_system(
-            run.streams, run.workload_params(), query_factory=session_queries
-        )
-    plan = plan_stream_shards(run.streams, run.stream_shards)
-    workers = min(max(1, stream_jobs), len(plan.nonempty_slices))
-    if workers <= 1:
-        results = [
-            simulator.run_open_system(
-                run.streams,
-                run.workload_params(),
-                query_factory=session_queries,
-                session_slice=session_slice,
-            )
-            for session_slice in plan.slices
-        ]
-        return merge_simulation_results(results)
-    from concurrent.futures import ProcessPoolExecutor
-
-    # The database above was built pre-fork, so fork-context workers
-    # inherit it copy-on-write; other start methods rebuild per worker.
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=_pool_context()
-    ) as pool:
-        results = list(
-            pool.map(
-                _execute_stream_slice,
-                [(run, start, stop) for start, stop in plan.slices],
-            )
-        )
-    return merge_simulation_results(results)
-
-
-def _open_system_metrics(run: RunSpec, stream_jobs: int = 1) -> dict:
-    result = _open_system_result(run, stream_jobs=stream_jobs)
     metrics = {
         "sessions": run.streams,
         "query_count": result.query_count,
@@ -418,18 +347,10 @@ _MODE_EXECUTORS = {
 }
 
 
-def execute_run(run: RunSpec, stream_jobs: int = 1) -> RunResult:
-    """Execute one run point (top-level so pools can pickle it).
-
-    ``stream_jobs`` is the intra-run stream-shard worker budget; it
-    only matters for open-system runs with ``stream_shards > 1`` and
-    never changes the metrics — just where the slices execute.
-    """
+def execute_run(run: RunSpec) -> RunResult:
+    """Execute one run point (top-level so pools can pickle it)."""
     started = time.perf_counter()
-    if run.mode == MODE_OPEN_SYSTEM:
-        metrics = _open_system_metrics(run, stream_jobs=stream_jobs)
-    else:
-        metrics = _MODE_EXECUTORS[run.mode](run)
+    metrics = _MODE_EXECUTORS[run.mode](run)
     return RunResult(
         run_id=run.run_id,
         config=run.config_dict(),
@@ -704,7 +625,6 @@ class ScenarioRunner:
         run_ids: list[str] | None = None,
         jobs: int | None = None,
         seeds: list[int] | None = None,
-        stream_shards: int | None = None,
         on_shard=None,
         on_warm=None,
     ):
@@ -734,17 +654,10 @@ class ScenarioRunner:
                     f"seeds must be distinct (got {seeds}); duplicate "
                     f"replicas would collapse into one run_id"
                 )
-        if stream_shards is not None and stream_shards < 1:
-            raise ValueError(
-                f"stream_shards must be >= 1, got {stream_shards}"
-            )
         self.fast = fast
         self.seed = seed
         self.seeds = seeds
         self.run_ids = run_ids
-        #: Intra-run session-axis sharding applied to every open-system
-        #: run of the selection (None = leave each run's own value).
-        self.stream_shards = stream_shards
         #: Optional ``callback(outcome, plan)`` fired as each shard
         #: completes (pool completion order, not plan order).
         self.on_shard = on_shard
@@ -786,19 +699,6 @@ class ScenarioRunner:
                 for run in runs
                 for seed in self.seeds
             ]
-        if self.stream_shards is not None:
-            if not any(run.mode == MODE_OPEN_SYSTEM for run in runs):
-                raise ValueError(
-                    f"scenario {self.scenario.name!r} selected no "
-                    f"open-system run points: stream_shards only shards "
-                    f"the open-system session axis"
-                )
-            runs = [
-                replace(run, stream_shards=self.stream_shards)
-                if run.mode == MODE_OPEN_SYSTEM
-                else run
-                for run in runs
-            ]
         if not runs:
             raise ValueError(
                 f"scenario {self.scenario.name!r} selected no run points "
@@ -828,16 +728,9 @@ class ScenarioRunner:
 
         if plan.jobs <= 1 or len(plan.shards) <= 1:
             # The pre-sharding serial path, point by point in order.
-            # This is where the jobs budget reaches *intra-run* stream
-            # sharding: with one run (or --jobs 1) the whole budget can
-            # pool an open-system run's session slices instead; inside
-            # across-runs pool workers stream_jobs stays 1 (no nested
-            # pools).
             outcomes = []
             for shard in plan.shards:
-                outcome = execute_shard(
-                    shard, keep_exception=True, stream_jobs=self.jobs
-                )
+                outcome = execute_shard(shard, keep_exception=True)
                 if self.on_shard is not None:
                     self.on_shard(outcome, plan)
                 if outcome.error is not None:

@@ -229,9 +229,7 @@ def warm_caches(runs: Iterable[RunSpec]) -> list[str]:
     ]
 
 
-def execute_shard(
-    shard: Shard, keep_exception: bool = False, stream_jobs: int = 1
-) -> ShardOutcome:
+def execute_shard(shard: Shard, keep_exception: bool = False) -> ShardOutcome:
     """Execute one shard's runs in order (top-level: pools pickle it).
 
     Never raises for a failing run point: the outcome carries a
@@ -239,10 +237,6 @@ def execute_shard(
     process can report which point of which shard broke.
     ``keep_exception`` attaches the live exception object to the error
     (in-process callers only — see :attr:`ShardError.exception`).
-    ``stream_jobs`` is the worker budget for intra-run stream sharding;
-    across-runs pool workers keep the default 1 (their slices run
-    sequentially — no nested pools), so only the serial driver path
-    ever pools stream shards.
     """
     from repro.scenarios.runner import _peak_rss_kb, execute_run
 
@@ -250,7 +244,7 @@ def execute_shard(
     results = []
     for run in shard.runs:
         try:
-            results.append(execute_run(run, stream_jobs=stream_jobs))
+            results.append(execute_run(run))
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             return ShardOutcome(
                 index=shard.index,
@@ -288,95 +282,14 @@ def raise_shard_error(outcome: ShardOutcome) -> None:
     ) from error.exception
 
 
-@dataclass(frozen=True)
-class StreamShardPlan:
-    """The intra-run twin of :class:`ShardPlan`: one open-system run's
-    session axis split into balanced contiguous slices.
-
-    Where :class:`ShardPlan` partitions a scenario's *run list* across
-    workers, this partitions the *arrival process of one run* — each
-    slice simulates independently (bit-exact serial arrival instants,
-    one serial RNG draw stream) and the per-slice
-    ``SimulationResult``s fold with the exact merge algebra.
-    """
-
-    session_count: int
-    stream_shards: int
-    #: Balanced contiguous ``(start, stop)`` session slices; later
-    #: slices may be empty when ``stream_shards > session_count``.
-    slices: tuple[tuple[int, int], ...]
-
-    @property
-    def nonempty_slices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(s for s in self.slices if s[1] > s[0])
-
-
-def plan_stream_shards(session_count: int, stream_shards: int) -> StreamShardPlan:
-    """Deterministic session partition for one open-system run."""
-    from repro.workload.arrivals import partition_sessions
-
-    return StreamShardPlan(
-        session_count=session_count,
-        stream_shards=stream_shards,
-        slices=partition_sessions(session_count, stream_shards),
-    )
-
-
-def stream_oversubscription_error(
-    jobs: int, stream_shards: int, cpu_count: int | None = None
-) -> str | None:
-    """A friendly refusal when a jobs/stream-shards combination would
-    oversubscribe this host, or ``None`` when the combination is fine.
-
-    Stream-shard workers only pool on the serial driver path (inside an
-    across-runs pool worker the slices run sequentially), so the
-    process count a combination can reach is ``min(jobs,
-    stream_shards)``.  On a small container — the 1-CPU case this guard
-    exists for — exceeding the CPU count buys no parallelism and
-    silently thrashes instead; callers print the message and exit
-    rather than letting that happen.
-    """
-    if cpu_count is None:
-        import os
-
-        cpu_count = os.cpu_count() or 1
-    workers = min(max(1, jobs), max(1, stream_shards))
-    if workers <= cpu_count:
-        return None
-    return (
-        f"--jobs {jobs} with --stream-shards {stream_shards} would run "
-        f"{workers} concurrent stream-shard workers on a {cpu_count}-CPU "
-        f"host; that oversubscribes the container and thrashes instead "
-        f"of parallelising. Use --jobs 1 (sequential shard fold, same "
-        f"metrics byte for byte) or at most --jobs {cpu_count}."
-    )
-
-
-def merge_simulation_results(results: Iterable) -> "object":
-    """Merge :class:`~repro.sim.metrics.SimulationResult` shards.
-
-    The aggregate-merge entry point for splitting one simulation's
-    *record stream* (e.g. the session axis of an open-system run)
-    across shards: accumulator states combine instead of concatenating
-    per-query record lists, so the merged aggregates are byte-identical
-    to the serial run's in any split and any merge order — including
-    empty shards (the property suite pins this).
-    """
-    from repro.sim.metrics import SimulationResult
-
-    return SimulationResult.merged(list(results))
-
-
 def summarize_outcomes(
     plan: ShardPlan, outcomes: Iterable[ShardOutcome]
 ) -> dict:
     """Order-invariant aggregate of the shards' host diagnostics.
 
     Wall clocks add (and track the slowest shard); peak RSS takes the
-    maximum across the executing processes — the associative merge for
-    each diagnostic, mirroring how :meth:`SimulationResult.merge`
-    treats its own sums and peaks.  Purely host-side: never part of
-    the metrics fingerprint.
+    maximum across the executing processes.  Purely host-side: never
+    part of the metrics fingerprint.
     """
     outcome_list = sorted(outcomes, key=lambda outcome: outcome.index)
     if not outcome_list:
@@ -410,8 +323,7 @@ def merge_outcomes(
 
     What is merged here are per-run *aggregate* results (each
     ``RunResult.metrics`` is a finished aggregate dict) — never
-    per-query record lists; record streams split within one simulation
-    merge through :func:`merge_simulation_results` instead.
+    per-query record lists.
     """
     by_index: dict[int, ShardOutcome] = {}
     for outcome in outcomes:

@@ -113,17 +113,6 @@ class RunSpec:
     #: values, so every pre-existing run point hashes exactly as before.
     record_retention: str = "full"
 
-    #: Intra-run stream sharding (MODE_OPEN_SYSTEM only): split the
-    #: session axis into this many independently simulated contiguous
-    #: partitions and fold the per-partition results with the exact
-    #: merge algebra.  ``1`` is the serial path — excluded from
-    #: config_dict() so every pre-existing config_hash is unchanged.
-    #: Values > 1 are a declared physics decomposition (cross-partition
-    #: contention is approximated), so config_dict() then includes the
-    #: knob *and* a ``partition_mode`` marker: the hash must change —
-    #: no silent physics changes.
-    stream_shards: int = 1
-
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -177,14 +166,6 @@ class RunSpec:
                 "record_retention must be 'full' or 'bounded', "
                 f"got {self.record_retention!r}"
             )
-        if self.stream_shards < 1:
-            raise ValueError("stream_shards must be >= 1")
-        if self.stream_shards != 1 and self.mode != MODE_OPEN_SYSTEM:
-            # Only the open-system session axis has a deterministic
-            # arrival partition to shard along.
-            raise ValueError(
-                f"stream_shards > 1 requires mode={MODE_OPEN_SYSTEM!r}"
-            )
         if (
             self.record_retention != "full"
             and self.mode not in (MODE_MULTI_USER, MODE_OPEN_SYSTEM)
@@ -233,8 +214,6 @@ class RunSpec:
             params = replace(params, workload=self.workload_params())
         if self.record_retention != "full":
             params = replace(params, record_retention=self.record_retention)
-        if self.stream_shards != 1:
-            params = replace(params, stream_shards=self.stream_shards)
         if self.disk_degradation != 1.0:
             d = params.disk
             params = replace(
@@ -267,15 +246,6 @@ class RunSpec:
             # reason the open-system knobs do: pre-existing run points
             # must keep their committed config_hash.
             del config["record_retention"]
-        if self.stream_shards == 1:
-            # The serial path is bit-identical to the pre-knob
-            # behaviour, so it hashes exactly as before.
-            del config["stream_shards"]
-        else:
-            # Sharded runs approximate cross-partition contention:
-            # declare the decomposition in the hashed config so a
-            # sharded report can never pass for a serial one.
-            config["partition_mode"] = "independent"
         return config
 
     def config_hash(self) -> str:

@@ -228,18 +228,6 @@ class SimulationParameters:
     #: in the query count (warehouse-scale open runs).  A scheduling
     #: knob: it never changes the simulated physics.
     record_retention: str = "full"
-    #: Open-system stream sharding: split the session axis into this
-    #: many contiguous partitions, simulate each independently and fold
-    #: the per-partition results with the exact merge algebra
-    #: (:meth:`repro.sim.metrics.SimulationResult.merge`).  ``1`` is the
-    #: serial path, bit-identical to the pre-knob behaviour.  Values
-    #: ``> 1`` are a *declared physics decomposition*: each partition
-    #: sees only its own sessions' load, so cross-session contention
-    #: (admission queueing, disk head travel, buffer reuse) is
-    #: approximated — exact only where sessions do not interact.  Never
-    #: silent: :meth:`repro.scenarios.spec.RunSpec.config_dict` hashes a
-    #: ``partition_mode`` marker alongside any non-default value.
-    stream_shards: int = 1
     #: Seed for the (small) stochastic choices: coordinator node and
     #: query parameter selection.
     seed: int = 0
@@ -270,8 +258,6 @@ class SimulationParameters:
                 "record_retention must be 'full' or 'bounded', "
                 f"got {self.record_retention!r}"
             )
-        if self.stream_shards < 1:
-            raise ValueError("stream_shards must be >= 1")
         # A cap below one admits no subquery: the coordinator would wait
         # forever on an empty schedule.
         cap = self.max_concurrent_subqueries

@@ -43,9 +43,19 @@ class ProcessingNode(FifoServer):
         fast path of :meth:`FifoServer.submit` without a closure or
         re-validation per request.
         """
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        self.instructions += int(instructions)
+        # Bursts are mostly ints, and a chained ``0.0 <= x < inf`` test
+        # of an int costs two mixed-type compares per burst.  ``int()``
+        # already rejects NaN and inf, and the try is free when it
+        # does not raise.
+        try:
+            if instructions < 0:
+                raise ValueError
+            self.instructions += int(instructions)
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"instructions on {self.name!r} must be finite and "
+                f"non-negative, got {instructions!r}"
+            ) from None
         duration = instructions / self._per_second
         env = self.env
         if resume is None:

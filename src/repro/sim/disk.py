@@ -315,10 +315,8 @@ class Disk(FifoServer):
                 service, next_waiter, next_value, enqueued = next_entry
                 self.queue_time += env._now - enqueued
                 next_duration = self._price(service)
-                if next_duration < 0:
-                    raise ValueError(
-                        f"negative service time on {self.name!r}"
-                    )
+                if not (0.0 <= next_duration < math.inf):
+                    self._reject(next_duration)
                 time = env._now + next_duration
             env._seq = seq = env._seq + 1
             heappush(

@@ -14,10 +14,10 @@ are
 
 * :class:`ExactSum` — a Shewchuk exact-partials accumulator whose final
   value is the correctly rounded sum of everything ever added, in *any*
-  insertion or merge order.  Because ``statistics.fmean(xs)`` is exactly
+  insertion order.  Because ``statistics.fmean(xs)`` is exactly
   ``math.fsum(xs) / len(xs)``, streaming means reproduce the old
   list-walking means bit for bit.
-* :class:`PercentileSketch` — a deterministic mergeable percentile
+* :class:`PercentileSketch` — a deterministic streaming percentile
   sketch that stores raw values while the population is at most
   ``exact_threshold`` (percentiles are then *exact*, identical to
   sorting the full list) and afterwards collapses to fixed
@@ -32,19 +32,13 @@ per-stream rollups are kept, exactly as before) and ``"bounded"``
 O(1) in the query count; per-query records and per-stream rollups are
 unavailable).  Aggregates are identical in both modes until the
 percentile sketches pass their exactness threshold.
-
-Results are mergeable: :meth:`SimulationResult.merge` combines two
-results into a new one, and the operation is associative and
-shard-order-invariant — every aggregate of the merged result is byte
-identical no matter how the underlying record stream was split or in
-which order the pieces were merged.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Record-retention modes for :class:`SimulationResult`.
 RETENTION_FULL = "full"
@@ -109,25 +103,16 @@ class ExactSum:
 
     ``value`` equals ``math.fsum`` of every float ever added — bit for
     bit, in any insertion order — because the internal partials always
-    represent the exact (unrounded) running sum.  Merging two
-    accumulators folds one's partials into the other, which preserves
-    exactness, so merge is associative and order-invariant too.
+    represent the exact (unrounded) running sum.
     """
 
     __slots__ = ("partials",)
 
-    def __init__(self, partials: list[float] | None = None):
-        self.partials: list[float] = list(partials) if partials else []
+    def __init__(self):
+        self.partials: list[float] = []
 
     def add(self, value: float) -> None:
         _grow_partials(self.partials, value)
-
-    def merge(self, other: "ExactSum") -> None:
-        for partial in other.partials:
-            _grow_partials(self.partials, partial)
-
-    def copy(self) -> "ExactSum":
-        return ExactSum(self.partials)
 
     @property
     def value(self) -> float:
@@ -135,7 +120,7 @@ class ExactSum:
 
 
 class PercentileSketch:
-    """Deterministic mergeable percentile sketch, exact below a threshold.
+    """Deterministic streaming percentile sketch, exact below a threshold.
 
     While the population is at most ``exact_threshold`` the sketch keeps
     the raw values and :meth:`percentile` is *exact* — identical to
@@ -146,8 +131,8 @@ class PercentileSketch:
     exact dyadic rationals independent of platform ``log`` rounding and
     the relative within-bin error is at most 1/64.  Because the binning
     of a value never depends on the sketch's state, the collapsed form
-    is a pure function of the recorded multiset — which makes merging
-    associative and order-invariant by construction.
+    is a pure function of the recorded multiset, so percentiles do not
+    depend on the recording order.
 
     Only non-negative finite values are accepted (response times and
     queueing delays are).
@@ -228,43 +213,6 @@ class PercentileSketch:
                 self._collapse()
         else:
             self._bin(value)
-
-    def merge(self, other: "PercentileSketch") -> None:
-        """Fold ``other`` into this sketch (associative, order-invariant)."""
-        if self.exact_threshold != other.exact_threshold:
-            raise ValueError(
-                "cannot merge percentile sketches with different "
-                "exactness thresholds"
-            )
-        self.count += other.count
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        if (
-            self._values is not None
-            and other._values is not None
-            and self.count <= self.exact_threshold
-        ):
-            self._values.extend(other._values)
-            return
-        if self._values is not None:
-            self._collapse()
-        if other._values is not None:
-            for value in other._values:
-                self._bin(value)
-        else:
-            self._zero += other._zero
-            for index, n in other._bins.items():
-                self._bins[index] = self._bins.get(index, 0) + n
-
-    def copy(self) -> "PercentileSketch":
-        clone = PercentileSketch(self.exact_threshold)
-        clone.count = self.count
-        clone._values = None if self._values is None else list(self._values)
-        clone._zero = self._zero
-        clone._bins = dict(self._bins)
-        clone._min = self._min
-        clone._max = self._max
-        return clone
 
     def _order_statistic(self, k: int, ordered_bins: list[int]) -> float:
         """Estimated k-th smallest recorded value (binned mode).
@@ -365,18 +313,6 @@ class _StreamAccumulator:
         self.response = ExactSum()
         self.queue = ExactSum()
 
-    def merge(self, other: "_StreamAccumulator") -> None:
-        self.count += other.count
-        self.response.merge(other.response)
-        self.queue.merge(other.queue)
-
-    def copy(self) -> "_StreamAccumulator":
-        clone = _StreamAccumulator()
-        clone.count = self.count
-        clone.response = self.response.copy()
-        clone.queue = self.queue.copy()
-        return clone
-
 
 class SimulationResult:
     """Aggregate outcome of one simulation run (a query stream).
@@ -442,18 +378,11 @@ class SimulationResult:
         self._total_delay_sketch = PercentileSketch(exact_percentile_threshold)
         self._streams: dict[int, _StreamAccumulator] = {}
 
-        # Device accounting: each entry is an exact partials list so
-        # merged results stay byte-identical in any merge order.  The
-        # plain-float views are exposed via the properties below.
-        self._disk_busy: list[list[float]] = []
-        self._disk_seek: list[list[float]] = []
-        self._cpu_busy: list[list[float]] = []
-        if disk_busy is not None:
-            self.disk_busy = disk_busy
-        if disk_seek is not None:
-            self.disk_seek = disk_seek
-        if cpu_busy is not None:
-            self.cpu_busy = cpu_busy
+        #: Per-device busy and seek seconds, set once the run finishes.
+        self.disk_busy: list[float] = list(disk_busy or [])
+        self.disk_seek: list[float] = list(disk_seek or [])
+        self.cpu_busy: list[float] = list(cpu_busy or [])
+
 
         for query in queries or []:
             self.record(query)
@@ -463,40 +392,6 @@ class SimulationResult:
             f"SimulationResult(queries={self._count}, "
             f"retention={self.retention!r}, elapsed={self.elapsed!r})"
         )
-
-    # -- device accounting -------------------------------------------------
-
-    @staticmethod
-    def _device_view(partials: list[list[float]]) -> list[float]:
-        return [math.fsum(entry) for entry in partials]
-
-    @staticmethod
-    def _device_store(values: list[float]) -> list[list[float]]:
-        return [[float(value)] if value else [] for value in values]
-
-    @property
-    def disk_busy(self) -> list[float]:
-        return self._device_view(self._disk_busy)
-
-    @disk_busy.setter
-    def disk_busy(self, values: list[float]) -> None:
-        self._disk_busy = self._device_store(values)
-
-    @property
-    def disk_seek(self) -> list[float]:
-        return self._device_view(self._disk_seek)
-
-    @disk_seek.setter
-    def disk_seek(self, values: list[float]) -> None:
-        self._disk_seek = self._device_store(values)
-
-    @property
-    def cpu_busy(self) -> list[float]:
-        return self._device_view(self._cpu_busy)
-
-    @cpu_busy.setter
-    def cpu_busy(self, values: list[float]) -> None:
-        self._cpu_busy = self._device_store(values)
 
     # -- recording ---------------------------------------------------------
 
@@ -621,7 +516,7 @@ class SimulationResult:
         """Mean disk busy fraction; 0.0 for a diskless configuration."""
         if self.elapsed <= 0:
             raise ValueError("no simulated time elapsed")
-        if not self._disk_busy:
+        if not self.disk_busy:
             return 0.0
         return statistics.fmean(self.disk_busy) / self.elapsed
 
@@ -630,7 +525,7 @@ class SimulationResult:
         """Mean CPU busy fraction; 0.0 for a CPU-less configuration."""
         if self.elapsed <= 0:
             raise ValueError("no simulated time elapsed")
-        if not self._cpu_busy:
+        if not self.cpu_busy:
             return 0.0
         return statistics.fmean(self.cpu_busy) / self.elapsed
 
@@ -646,107 +541,3 @@ class SimulationResult:
         if baseline_avg <= 0:
             raise ValueError("baseline average response time is zero")
         return baseline_avg / self.avg_response_time
-
-    # -- merging -----------------------------------------------------------
-
-    @staticmethod
-    def _merge_device(
-        left: list[list[float]], right: list[list[float]]
-    ) -> list[list[float]]:
-        merged = [list(entry) for entry in left]
-        if len(right) > len(merged):
-            merged.extend([] for _ in range(len(right) - len(merged)))
-        for i, entry in enumerate(right):
-            for partial in entry:
-                _grow_partials(merged[i], partial)
-        return merged
-
-    def merge(self, other: "SimulationResult") -> "SimulationResult":
-        """Combine two results into a new one (non-mutating).
-
-        The operation is associative and order-invariant: every
-        aggregate of the merged result is byte-identical no matter how
-        the record stream was split across results or in which order
-        the pieces are merged.  Counts and page/buffer/event totals
-        add; response/delay sums combine exactly; maxima and peaks take
-        the maximum; ``elapsed`` is the maximum (the shards describe
-        one shared simulated timeline); device busy times combine
-        exactly entry by entry.  The merged result keeps full retention
-        (concatenated records and combined rollups) only when *both*
-        inputs do, otherwise it is bounded.
-
-        Under full retention :attr:`queries` concatenates ``self``'s
-        records before ``other``'s — the record *order* follows the
-        merge order even though every aggregate is invariant to it.
-        """
-        if self.exact_percentile_threshold != other.exact_percentile_threshold:
-            raise ValueError(
-                "cannot merge results with different percentile "
-                "exactness thresholds"
-            )
-        retention = (
-            RETENTION_FULL
-            if self.retention == other.retention == RETENTION_FULL
-            else RETENTION_BOUNDED
-        )
-        merged = SimulationResult(
-            elapsed=max(self.elapsed, other.elapsed),
-            buffer_hits=self.buffer_hits + other.buffer_hits,
-            buffer_misses=self.buffer_misses + other.buffer_misses,
-            event_count=self.event_count + other.event_count,
-            peak_mpl=max(self.peak_mpl, other.peak_mpl),
-            peak_queue_length=max(
-                self.peak_queue_length, other.peak_queue_length
-            ),
-            queued_arrivals=self.queued_arrivals + other.queued_arrivals,
-            retention=retention,
-            exact_percentile_threshold=self.exact_percentile_threshold,
-        )
-        merged._count = self._count + other._count
-        merged._total_pages = self._total_pages + other._total_pages
-        for name in ("_response_sum", "_queue_sum", "_total_delay_sum"):
-            combined = getattr(self, name).copy()
-            combined.merge(getattr(other, name))
-            setattr(merged, name, combined)
-        merged._response_max = max(self._response_max, other._response_max)
-        merged._queue_max = max(self._queue_max, other._queue_max)
-        for name in ("_response_sketch", "_queue_sketch",
-                     "_total_delay_sketch"):
-            combined = getattr(self, name).copy()
-            combined.merge(getattr(other, name))
-            setattr(merged, name, combined)
-        merged._disk_busy = self._merge_device(self._disk_busy,
-                                               other._disk_busy)
-        merged._disk_seek = self._merge_device(self._disk_seek,
-                                               other._disk_seek)
-        merged._cpu_busy = self._merge_device(self._cpu_busy,
-                                              other._cpu_busy)
-        if retention == RETENTION_FULL:
-            merged.queries = self.queries + other.queries
-            streams = {k: v.copy() for k, v in self._streams.items()}
-            for stream, rollup in other._streams.items():
-                mine = streams.get(stream)
-                if mine is None:
-                    streams[stream] = rollup.copy()
-                else:
-                    mine.merge(rollup)
-            merged._streams = streams
-        return merged
-
-    @classmethod
-    def merged(cls, results: list["SimulationResult"]) -> "SimulationResult":
-        """Fold a sequence of results left to right (empty -> empty).
-
-        The fold seeds its empty accumulator with the first result's
-        percentile threshold, so a uniformly non-default-threshold
-        sequence folds cleanly (mixed thresholds still refuse to merge).
-        """
-        results = list(results)
-        threshold = (
-            results[0].exact_percentile_threshold
-            if results else PERCENTILE_EXACT_THRESHOLD
-        )
-        combined = cls(exact_percentile_threshold=threshold)
-        for result in results:
-            combined = combined.merge(result)
-        return combined

@@ -24,6 +24,7 @@ avoids a closure per request on the hot path.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappush
 from typing import Any, Callable
@@ -69,6 +70,17 @@ class FifoServer:
         """Service duration of a request reaching the server."""
         return service() if callable(service) else service
 
+    def _reject(self, duration: float) -> None:
+        """Refuse a service time outside ``[0, inf)``.
+
+        Callers test ``not (0.0 <= duration < inf)``, which NaN fails
+        too; a NaN completion time would otherwise reach the heap.
+        """
+        raise ValueError(
+            f"service time on {self.name!r} must be finite and "
+            f"non-negative, got {duration!r}"
+        )
+
     def submit(
         self, service: Callable[[], float] | float, value: Any = None
     ) -> Event:
@@ -84,8 +96,8 @@ class FifoServer:
         else:
             self._busy = True
             duration = self._price(service)
-            if duration < 0:
-                raise ValueError(f"negative service time on {self.name!r}")
+            if not (0.0 <= duration < math.inf):
+                self._reject(duration)
             # Scheduling inlined (hot path): a zero-duration completion
             # lands on the heap at (now, seq), which the dispatch merge
             # orders exactly like the ready deque would.
@@ -113,8 +125,8 @@ class FifoServer:
                 if service.__class__ is float
                 else self._price(service)
             )
-            if next_duration < 0:
-                raise ValueError(f"negative service time on {self.name!r}")
+            if not (0.0 <= next_duration < math.inf):
+                self._reject(next_duration)
             env._seq = seq = env._seq + 1
             heappush(
                 env._heap,

@@ -27,12 +27,7 @@ from repro.sim.engine import Environment
 from repro.sim.metrics import QueryMetrics, SimulationResult
 from repro.sim.network import Network
 from repro.sim.scheduler import QueryExecutor
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    derive_rng,
-    partition_sessions,
-    think_time_draw,
-)
+from repro.workload.arrivals import ArrivalProcess, derive_rng, think_time_draw
 
 
 #: SimulationParameters fields that shape the physical database (and
@@ -363,7 +358,6 @@ class ParallelWarehouseSimulator:
         workload: WorkloadParameters | None = None,
         *,
         query_factory=None,
-        session_slice: tuple[int, int] | None = None,
     ) -> SimulationResult:
         """Execute an open-system workload: sessions *arrive* over time.
 
@@ -390,16 +384,6 @@ class ParallelWarehouseSimulator:
         choices — come from RNGs derived from ``(seed, site, session,
         query)``, so a run is bit-reproducible under a fixed seed and
         invariant to event-interleaving refactors.
-
-        ``session_slice=(start, stop)`` simulates only that contiguous
-        partition of the session axis — the stream-sharding worker path
-        (see :meth:`run_open_system_sharded`).  Arrival draws still
-        come from the one serial RNG stream and each in-slice session
-        arrives at its bit-exact serial instant
-        (:meth:`~repro.workload.arrivals.ArrivalProcess.iter_arrival_slice`);
-        only the *other* slices' load is absent.  ``None`` (the
-        default) is exactly the historical full-axis behaviour; an
-        empty slice returns an empty result.
         """
         if isinstance(sessions, int):
             if query_factory is None:
@@ -428,16 +412,6 @@ class ParallelWarehouseSimulator:
                 raise ValueError("need at least one non-empty session")
             session_count = len(sessions)
             session_queries = sessions.__getitem__
-        if session_slice is None:
-            slice_start, slice_stop = 0, session_count
-        else:
-            slice_start, slice_stop = session_slice
-            if not 0 <= slice_start <= slice_stop <= session_count:
-                raise ValueError(
-                    f"session_slice [{slice_start}, {slice_stop}) out of "
-                    f"range for {session_count} sessions"
-                )
-        slice_sessions = slice_stop - slice_start
         params = self.params
         workload = workload if workload is not None else params.workload
         arrivals = ArrivalProcess(
@@ -501,13 +475,7 @@ class ParallelWarehouseSimulator:
 
         def source_body():
             nonlocal spawned_sessions
-            # The full axis is the (0, count) slice: iter_arrival_slice
-            # yields the same (session, delay) pairs bit for bit there
-            # (0.0 + g0 == g0), so serial and sharded runs share one
-            # arrival path.
-            pairs = arrivals.iter_arrival_slice(
-                session_count, params.seed, slice_start, slice_stop
-            )
+            pairs = arrivals.iter_arrival_slice(session_count, params.seed)
             for session_id, delay in pairs:
                 if delay:
                     yield env.timeout(delay)
@@ -520,8 +488,8 @@ class ParallelWarehouseSimulator:
         env.run()
         if (
             not source.done.triggered
-            or spawned_sessions != slice_sessions
-            or completed_sessions != slice_sessions
+            or spawned_sessions != session_count
+            or completed_sessions != session_count
         ):
             raise RuntimeError("an open-system session did not complete")
 
@@ -530,54 +498,3 @@ class ParallelWarehouseSimulator:
         result.peak_queue_length = controller.peak_waiting
         result.queued_arrivals = controller.queued_total
         return result
-
-    def run_open_system_sharded(
-        self,
-        sessions: Sequence[Sequence[StarQuery]] | int,
-        workload: WorkloadParameters | None = None,
-        *,
-        query_factory=None,
-        stream_shards: int | None = None,
-    ) -> SimulationResult:
-        """Split the session axis into shards, simulate each, fold exactly.
-
-        The in-process form of stream sharding: the session axis is cut
-        into :func:`~repro.workload.arrivals.partition_sessions` slices,
-        each slice runs as an independent :meth:`run_open_system`
-        partition (bounded retention keeps every slice O(1) in memory),
-        and the per-slice results fold incrementally through the exact
-        merge algebra — so the fold itself never holds more than one
-        un-merged shard.  ``stream_shards`` defaults to
-        ``params.stream_shards``; ``1`` falls through to the serial
-        path unchanged.
-
-        Shards with more than one slice are a *declared* approximation
-        of cross-slice contention — see
-        :attr:`~repro.sim.config.SimulationParameters.stream_shards`.
-        Aggregates are deterministic for any shard count and identical
-        whether the slices run here or across worker processes.
-        """
-        shards = (
-            stream_shards if stream_shards is not None
-            else self.params.stream_shards
-        )
-        if shards < 1:
-            raise ValueError("stream_shards must be >= 1")
-        if shards == 1:
-            return self.run_open_system(
-                sessions, workload, query_factory=query_factory
-            )
-        count = sessions if isinstance(sessions, int) else len(sessions)
-        merged = SimulationResult(
-            retention=self.params.record_retention
-        )
-        for session_slice in partition_sessions(count, shards):
-            merged = merged.merge(
-                self.run_open_system(
-                    sessions,
-                    workload,
-                    query_factory=query_factory,
-                    session_slice=session_slice,
-                )
-            )
-        return merged

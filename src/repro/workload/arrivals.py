@@ -116,45 +116,17 @@ class ArrivalProcess:
         delay of the first arrival after time zero)."""
         return list(self.iter_interarrivals(count, seed))
 
-    def iter_arrival_slice(self, count: int, seed: int, start: int, stop: int):
-        """Lazily yield ``(session_id, delay)`` for sessions ``[start, stop)``.
+    def iter_arrival_slice(self, count: int, seed: int):
+        """Lazily yield ``(session_id, gap)`` for sessions ``[0, count)``.
 
-        The partitioned form of :meth:`iter_interarrivals`: the first
-        yielded delay is the *absolute* arrival instant of session
-        ``start`` (the prefix gaps folded left-to-right with the same
-        float additions the event engine performs, so it is bit-equal
-        to the serial timeline's clock at that arrival), and every
-        following delay is that session's serial interarrival gap.
-
-        All draws come from the **one serial RNG stream** — the slice
-        re-draws the prefix it skips instead of re-salting a per-shard
-        RNG — so concatenating the gaps used by the slices of any
-        partition of ``[0, count)`` reproduces the serial draw sequence
-        exactly.  An empty slice (``start == stop``) yields nothing and
-        draws nothing.  Prefix re-drawing is O(start) RNG calls with no
-        simulation attached, which is negligible next to simulating the
-        slice itself.
+        The arrival source of an open-system run: session ``i`` arrives
+        ``gap`` seconds after session ``i - 1`` (the first gap is the
+        delay after time zero), exactly :meth:`iter_interarrivals`
+        numbered by session.  The name is kept because
+        ``benchmarks/perf/trace.py`` wraps this method by name; the next
+        benchmark version may rename it.
         """
-        if not 0 <= start <= stop <= count:
-            raise ValueError(
-                f"arrival slice [{start}, {stop}) out of range for "
-                f"{count} sessions"
-            )
-        if start == stop:
-            return
-        # Drawing with count=stop yields the same first `stop` gaps as
-        # drawing with the full count: the fixed and poisson kinds are
-        # memoryless per gap, and the bursty kind truncates only the
-        # *tail* zero-fills of its final batch.
-        gaps = self.iter_interarrivals(stop, seed)
-        offset = 0.0
-        for _ in range(start + 1):
-            # Unconditional add matches the engine's skip-zero-gap
-            # timeline bit for bit: t + 0.0 == t for every t >= 0.
-            offset = offset + next(gaps)
-        yield start, offset
-        for session_id in range(start + 1, stop):
-            yield session_id, next(gaps)
+        return enumerate(self.iter_interarrivals(count, seed))
 
     def arrival_times(self, count: int, seed: int) -> list[float]:
         """Absolute arrival instants (cumulative interarrival sums)."""
@@ -168,30 +140,6 @@ class ArrivalProcess:
     @property
     def mean_interarrival_s(self) -> float:
         return 1.0 / self.rate_qps
-
-
-def partition_sessions(count: int, shards: int) -> tuple[tuple[int, int], ...]:
-    """Balanced contiguous ``(start, stop)`` slices of ``range(count)``.
-
-    The deterministic session partition behind stream sharding: the
-    first ``count % shards`` slices hold one extra session, later
-    slices may be empty when ``shards > count``.  Concatenating the
-    slices always reproduces ``range(count)`` exactly, so the union of
-    the per-slice arrival draws (:meth:`ArrivalProcess.iter_arrival_slice`)
-    is the serial draw sequence.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    base, extra = divmod(count, shards)
-    slices = []
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        slices.append((start, stop))
-        start = stop
-    return tuple(slices)
 
 
 def think_time_draw(rng: random.Random, mean_s: float) -> float:

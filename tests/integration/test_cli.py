@@ -93,3 +93,11 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_stream_shards_option_is_gone(self, capsys):
+        # Runs are serial; the bench command has no stream sharding.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--scenario", "smoke_open_tiny",
+                  "--stream-shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--stream-shards" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import execute_run, get_scenario
+from repro.scenarios import execute_run, get_scenario, iter_scenarios
 from repro.scenarios.spec import (
     MODE_OPEN_SYSTEM,
     MODE_SIM,
@@ -29,6 +29,16 @@ OPEN_SCENARIOS = (
     "open_think_time",
     "smoke_open_tiny",
 )
+
+
+def _simulated_goldens() -> list[str]:
+    """Committed goldens whose scenario has run points (not static)."""
+    names = []
+    for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
+        scenario = json.loads(path.read_text())["scenario"]
+        if get_scenario(scenario).runs:
+            names.append(path.name)
+    return names
 
 
 def tiny_open_run(**overrides) -> RunSpec:
@@ -145,6 +155,32 @@ class TestConfigHashStability:
         by_id = {run.run_id: run for run in scenario.expand(fast=True)}
         for entry in golden["runs"]:
             assert by_id[entry["run_id"]].config_hash() == entry["config_hash"]
+
+    @pytest.mark.parametrize("golden", _simulated_goldens())
+    def test_every_golden_config_matches_its_run_point(self, golden):
+        # Every committed golden's configs and hashes must be rebuilt
+        # exactly from the registry: no knob may enter or leave a
+        # config_dict without a deliberate regeneration.
+        report = json.loads((RESULTS_DIR / golden).read_text())
+        scenario = get_scenario(report["scenario"])
+        by_id = {run.run_id: run for run in scenario.runs}
+        for entry in report["runs"]:
+            run = by_id[entry["run_id"]]
+            assert run.config_dict() == entry["config"]
+            assert run.config_hash() == entry["config_hash"]
+
+    def test_no_run_point_carries_stream_sharding_keys(self):
+        # Runs are serial: no config may declare a shard count or a
+        # partitioned timeline.
+        configs = [
+            run.config_dict()
+            for scenario in iter_scenarios()
+            for run in scenario.runs
+        ]
+        assert configs
+        for config in configs:
+            assert "stream_shards" not in config
+            assert "partition_mode" not in config
 
     def test_invalid_open_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -544,19 +544,22 @@ class TestTimeoutAt:
 
     def test_not_equivalent_to_relative_timeout_rounding(self):
         """The reason timeout_at exists: now + (when - now) rounds."""
-        from math import nextafter
-
+        now = 0.16702264342323492
+        when = 13.541220373237197
         env = Environment()
-        env.timeout(1e9).wait(lambda _v: None)
+        # Exact: the clock starts at 0.0 and 0.0 + now == now.
+        env.timeout(now).wait(lambda _v: None)
         env.run()
-        when = nextafter(env.now, 2e9)  # one ulp ahead of now
+        assert env.now == now
+        # The relative form lands one ulp short of the target instant.
+        relative = env.now + (when - env.now)
+        assert relative == 13.541220373237195
+        assert relative != when
         log = []
         env.timeout_at(when).wait(lambda _v: log.append(env.now))
         env.run()
         assert log == [when]
-        # The relative form cannot express a one-ulp step: the delay
-        # needed underflows to a rounded sum.
-        assert env.now + (when - env.now) != when or True
+        assert env.now == when
 
     def test_at_current_instant_runs_after_already_scheduled_ties(self):
         env = Environment()

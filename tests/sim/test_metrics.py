@@ -193,18 +193,6 @@ class TestExactSum:
                 acc.add(value)
             assert acc.value == expected
 
-    def test_merge_matches_serial(self):
-        rng = random.Random(11)
-        values = [rng.expovariate(1.0) for _ in range(200)]
-        serial = ExactSum()
-        for value in values:
-            serial.add(value)
-        left, right = ExactSum(), ExactSum()
-        for i, value in enumerate(values):
-            (left if i % 2 else right).add(value)
-        left.merge(right)
-        assert left.value == serial.value
-
     def test_mean_reproduces_fmean(self):
         rng = random.Random(13)
         values = [rng.random() * 3.7 for _ in range(321)]
@@ -248,33 +236,11 @@ class TestPercentileSketch:
         assert sketch.percentile(50) == 0.0
         assert sketch.percentile(100) == 6.0
 
-    def test_merge_any_split_matches_serial_state(self):
-        rng = random.Random(9)
-        values = [rng.expovariate(1.0) for _ in range(300)]
-        serial = PercentileSketch(exact_threshold=50)
-        for value in values:
-            serial.record(value)
-        for split_seed in range(4):
-            split_rng = random.Random(split_seed)
-            parts = [PercentileSketch(exact_threshold=50) for _ in range(4)]
-            for value in values:
-                parts[split_rng.randrange(4)].record(value)
-            split_rng.shuffle(parts)
-            combined = parts[0]
-            for part in parts[1:]:
-                combined.merge(part)
-            for p in (0, 5, 50, 95, 100):
-                assert combined.percentile(p) == serial.percentile(p)
-
     def test_rejects_negative_and_non_finite(self):
         sketch = PercentileSketch()
         for bad in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="finite and non-negative"):
                 sketch.record(bad)
-
-    def test_mismatched_thresholds_refuse_to_merge(self):
-        with pytest.raises(ValueError, match="thresholds"):
-            PercentileSketch(10).merge(PercentileSketch(20))
 
 
 class TestRetentionModes:
@@ -308,93 +274,3 @@ class TestRetentionModes:
     def test_unknown_retention_rejected(self):
         with pytest.raises(ValueError, match="retention"):
             SimulationResult(retention="everything")
-
-
-class TestMerge:
-    @staticmethod
-    def _records(count, seed):
-        rng = random.Random(seed)
-        return [
-            metrics(
-                response=rng.expovariate(1.0),
-                queue_delay=rng.expovariate(2.0),
-                stream=rng.randrange(5),
-                fact_pages=rng.randrange(100),
-            )
-            for _ in range(count)
-        ]
-
-    def test_merge_matches_serial_aggregates(self):
-        records = self._records(60, seed=21)
-        serial = SimulationResult(
-            queries=list(records), elapsed=50.0,
-            disk_busy=[1.0, 2.0], cpu_busy=[3.0],
-            buffer_hits=7, buffer_misses=3, event_count=100,
-        )
-        shard_a = SimulationResult(
-            queries=records[:25], elapsed=50.0,
-            disk_busy=[1.0, 2.0], cpu_busy=[3.0],
-            buffer_hits=7, buffer_misses=3, event_count=100,
-        )
-        shard_b = SimulationResult(queries=records[25:])
-        merged = shard_a.merge(shard_b)
-        assert merged.query_count == serial.query_count
-        assert merged.avg_response_time == serial.avg_response_time
-        assert merged.max_response_time == serial.max_response_time
-        assert merged.avg_queue_delay == serial.avg_queue_delay
-        assert merged.avg_total_delay == serial.avg_total_delay
-        assert merged.total_pages == serial.total_pages
-        assert merged.disk_busy == serial.disk_busy
-        assert merged.cpu_busy == serial.cpu_busy
-        assert merged.response_time_percentile(95) == \
-            serial.response_time_percentile(95)
-        assert merged.per_stream() == serial.per_stream()
-
-    def test_merge_is_associative_and_order_invariant(self):
-        records = self._records(40, seed=33)
-        parts = [
-            SimulationResult(queries=records[:10]),
-            SimulationResult(queries=records[10:30]),
-            SimulationResult(queries=[]),
-            SimulationResult(queries=records[30:]),
-        ]
-        left = parts[0].merge(parts[1]).merge(parts[2]).merge(parts[3])
-        right = parts[0].merge(parts[1].merge(parts[2].merge(parts[3])))
-        shuffled = parts[3].merge(parts[1]).merge(parts[0]).merge(parts[2])
-        for a, b in ((left, right), (left, shuffled)):
-            assert a.avg_response_time == b.avg_response_time
-            assert a.avg_queue_delay == b.avg_queue_delay
-            assert a.response_time_percentile(95) == \
-                b.response_time_percentile(95)
-            assert a.per_stream() == b.per_stream()
-
-    def test_merge_with_bounded_side_is_bounded(self):
-        full = SimulationResult(queries=[metrics()])
-        bounded = SimulationResult(queries=[metrics()], retention="bounded")
-        merged = full.merge(bounded)
-        assert merged.retention == "bounded"
-        assert merged.records_retained == 0
-        assert merged.query_count == 2
-
-    def test_merged_classmethod_folds_and_handles_empty(self):
-        empty = SimulationResult.merged([])
-        assert empty.query_count == 0
-        records = self._records(12, seed=1)
-        combined = SimulationResult.merged([
-            SimulationResult(queries=records[:4]),
-            SimulationResult(queries=records[4:]),
-        ])
-        assert combined.query_count == 12
-
-    def test_peaks_take_max_and_counts_add(self):
-        a = SimulationResult(queries=[metrics()], peak_mpl=3,
-                             peak_queue_length=9, queued_arrivals=5,
-                             elapsed=2.0)
-        b = SimulationResult(queries=[metrics()], peak_mpl=7,
-                             peak_queue_length=2, queued_arrivals=4,
-                             elapsed=3.0)
-        merged = a.merge(b)
-        assert merged.peak_mpl == 7
-        assert merged.peak_queue_length == 9
-        assert merged.queued_arrivals == 9
-        assert merged.elapsed == 3.0

@@ -18,6 +18,7 @@ from repro.mdhf.spec import Fragmentation
 from repro.sim.admission import AdmissionController
 from repro.sim.config import SimulationParameters, WorkloadParameters
 from repro.sim.simulator import ParallelWarehouseSimulator
+from repro.workload.arrivals import ARRIVAL_KINDS, ArrivalProcess
 
 from repro.sim import simulator as simulator_module
 
@@ -232,6 +233,123 @@ class TestValidation:
         assert sorted(q.arrived_at for q in result.queries) == pytest.approx(
             [0.5, 1.0]
         )
+
+
+def snapshot_of(result):
+    return [
+        (q.stream, q.arrived_at, q.admitted_at, q.queue_delay,
+         q.response_time, q.coordinator_node)
+        for q in result.queries
+    ]
+
+
+def kind_workload(kind: str) -> WorkloadParameters:
+    return WorkloadParameters(
+        arrival_process=kind, arrival_rate_qps=10.0, burst_size=3,
+        max_mpl=4,
+    )
+
+
+class TestSerialArrivalSource:
+    """One serial draw feeds the whole session axis, for every arrival
+    kind: each session arrives at its ``arrival_times`` instant, runs
+    exactly once, and the run repeats bit for bit."""
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_sessions_arrive_at_serial_instants(self, tiny_sim, kind):
+        result = tiny_sim.run_open_system(sessions_of(9), kind_workload(kind))
+        instants = ArrivalProcess(
+            kind=kind, rate_qps=10.0, burst_size=3
+        ).arrival_times(9, tiny_sim.params.seed)
+        # Single-query sessions: each query arrives with its session,
+        # at the serial instant bit for bit.
+        assert {q.stream: q.arrived_at for q in result.queries} == dict(
+            enumerate(instants)
+        )
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_every_session_runs_once(self, tiny_sim, kind):
+        result = tiny_sim.run_open_system(
+            sessions_of(7, queries_each=2), kind_workload(kind)
+        )
+        assert result.query_count == 14
+        assert sorted(q.stream for q in result.queries) == sorted(
+            s for s in range(7) for _ in range(2)
+        )
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_repeat_run_is_identical(self, tiny_sim, kind):
+        first, second = (
+            tiny_sim.run_open_system(sessions_of(10), kind_workload(kind))
+            for _ in range(2)
+        )
+        assert snapshot_of(first) == snapshot_of(second)
+        for attribute in ("elapsed", "peak_mpl", "queued_arrivals",
+                          "buffer_hits"):
+            assert getattr(first, attribute) == getattr(second, attribute)
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_bounded_retention_keeps_the_aggregates(
+        self, tiny, tiny_frag, tiny_sim, kind
+    ):
+        bounded_sim = ParallelWarehouseSimulator(
+            tiny, tiny_frag, tiny_params(record_retention="bounded")
+        )
+        full = tiny_sim.run_open_system(sessions_of(8), kind_workload(kind))
+        bounded = bounded_sim.run_open_system(
+            sessions_of(8), kind_workload(kind)
+        )
+        assert full.records_retained == 8
+        assert bounded.records_retained == 0
+        for attribute in (
+            "query_count", "elapsed", "peak_mpl", "queued_arrivals",
+            "buffer_hits", "total_pages", "avg_response_time",
+            "max_response_time", "avg_queue_delay", "max_queue_delay",
+            "avg_total_delay",
+        ):
+            assert getattr(bounded, attribute) == getattr(full, attribute)
+        for p in (0, 50, 95, 100):
+            assert bounded.response_time_percentile(p) == \
+                full.response_time_percentile(p)
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_elapsed_covers_the_last_arrival(self, tiny_sim, kind):
+        result = tiny_sim.run_open_system(sessions_of(6), kind_workload(kind))
+        last_arrival = ArrivalProcess(
+            kind=kind, rate_qps=10.0, burst_size=3
+        ).arrival_times(6, tiny_sim.params.seed)[-1]
+        assert result.elapsed > last_arrival
+        # The run ends with its last completion.
+        assert result.elapsed == pytest.approx(
+            max(q.admitted_at + q.response_time for q in result.queries)
+        )
+
+
+class TestSessionFactory:
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_factory_matches_materialised_sessions(self, tiny_sim, kind):
+        sessions = sessions_of(6, queries_each=2)
+        listed = tiny_sim.run_open_system(sessions, kind_workload(kind))
+        drawn = tiny_sim.run_open_system(
+            6, kind_workload(kind), query_factory=sessions.__getitem__
+        )
+        assert snapshot_of(drawn) == snapshot_of(listed)
+        assert drawn.elapsed == listed.elapsed
+        assert drawn.peak_mpl == listed.peak_mpl
+
+    @pytest.mark.parametrize("sessions, factory, match", [
+        (3, None, "query_factory"),
+        (0, lambda s: [month_query()], "at least one session"),
+        ([[month_query()]], lambda s: [month_query()], "only combines"),
+        (3, lambda s: [] if s == 1 else [month_query()], "empty session 1"),
+    ], ids=["count-without-factory", "zero-count", "list-with-factory",
+            "empty-drawn-session"])
+    def test_factory_form_validation(self, tiny_sim, sessions, factory,
+                                     match):
+        with pytest.raises(ValueError, match=match):
+            tiny_sim.run_open_system(
+                sessions, WorkloadParameters(), query_factory=factory
+            )
 
 
 class TestMultiUserRngFix:

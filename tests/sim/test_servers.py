@@ -1,5 +1,8 @@
 """FIFO servers, disks, CPUs, network, buffer manager."""
 
+import math
+import re
+
 import pytest
 
 from repro.sim.buffer import BufferManager, BufferPool
@@ -52,12 +55,53 @@ class TestFifoServer:
         env.run()
         assert server.utilization(4.0) == pytest.approx(0.5)
 
-    def test_negative_service_rejected(self):
-        env = Environment()
-        server = FifoServer(env)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_submit_rejects_non_finite_or_negative_service(self, bad):
+        server = FifoServer(Environment(), name="srv")
         # The server is idle, so service is priced immediately.
-        with pytest.raises(ValueError):
-            server.submit(lambda: -1.0)
+        with pytest.raises(
+            ValueError, match=f"'srv'.*got {re.escape(repr(bad))}"
+        ):
+            server.submit(lambda: bad)
+
+    @pytest.mark.parametrize("service", [0.0, 5e-324, 1e300])
+    def test_submit_accepts_zero_and_finite_service(self, service):
+        # The lower bound is inclusive and the upper one excludes only
+        # inf: zero, the smallest subnormal and a huge finite time run.
+        env = Environment()
+        server = FifoServer(env, name="srv")
+        done = server.submit(service)
+        env.run()
+        assert done.triggered
+        assert env.now == service
+        assert server.busy_time == service
+
+    @pytest.mark.parametrize("service", [0.0, 5e-324, 1e300])
+    def test_complete_accepts_zero_and_finite_service(self, service):
+        env = Environment()
+        server = FifoServer(env, name="srv")
+        server.submit(1.0)
+        done = server.submit(lambda: service)
+        env.run()
+        assert done.triggered
+        assert server.request_count == 2
+        assert env.now == 1.0 + service
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("priced", [False, True])
+    def test_complete_rejects_non_finite_or_negative_service(
+        self, bad, priced
+    ):
+        # The second request waits, so it is priced in _complete when
+        # the first one finishes; both the float and callable forms.
+        env = Environment()
+        server = FifoServer(env, name="srv")
+        server.submit(1.0)
+        server.submit(bad if priced else (lambda: bad))
+        with pytest.raises(
+            ValueError, match=f"'srv'.*got {re.escape(repr(bad))}"
+        ):
+            env.run()
 
 
 class TestDisk:
@@ -65,6 +109,17 @@ class TestDisk:
     def disk(self):
         env = Environment()
         return env, Disk(env, DiskParameters(), disk_id=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_queued_callable_rejects_non_finite_or_negative(self, disk, bad):
+        # Disk._complete prices a queued callable request itself.
+        env, d = disk
+        d.submit(1.0)
+        d.submit(lambda: bad)
+        with pytest.raises(
+            ValueError, match=f"'disk0'.*got {re.escape(repr(bad))}"
+        ):
+            env.run()
 
     def test_single_read_timing(self, disk):
         env, d = disk
@@ -186,11 +241,26 @@ class TestProcessingNode:
         with pytest.raises(ValueError):
             ProcessingNode(env, 0, cpu_mips=0)
 
-    def test_negative_instructions(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_compute_rejects_non_finite_or_negative_instructions(self, bad):
+        node = ProcessingNode(Environment(), 3, cpu_mips=50.0)
+        with pytest.raises(
+            ValueError, match=f"'node3'.*got {re.escape(repr(bad))}"
+        ):
+            node.compute(bad)
+        assert node.instructions == 0
+
+    @pytest.mark.parametrize("instructions", [0, 0.0, 2**53])
+    def test_compute_accepts_zero_and_finite_instructions(
+        self, instructions
+    ):
         env = Environment()
         node = ProcessingNode(env, 0, cpu_mips=50.0)
-        with pytest.raises(ValueError):
-            node.compute(-1)
+        done = node.compute(instructions)
+        env.run()
+        assert done.triggered
+        assert node.instructions == int(instructions)
+        assert env.now == instructions / 50e6
 
 
 class TestNetwork:

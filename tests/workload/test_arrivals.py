@@ -11,7 +11,6 @@ from repro.workload.arrivals import (
     ARRIVAL_KINDS,
     ArrivalProcess,
     derive_rng,
-    partition_sessions,
     think_time_draw,
 )
 
@@ -110,94 +109,59 @@ class TestArrivalProcess:
 
 
 class TestArrivalSlices:
-    @staticmethod
-    def _serial_instants(process, count, seed):
-        # The engine's timeline: a left-to-right ``t = t + gap`` fold.
-        instants, t = [], 0.0
-        for gap in process.iter_interarrivals(count, seed):
-            t = t + gap
-            instants.append(t)
-        return instants
-
     @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
     def test_full_slice_is_the_serial_draw(self, kind):
         process = ArrivalProcess(kind=kind, rate_qps=7.0, burst_size=3)
         gaps = process.interarrivals(20, seed=11)
-        pairs = list(process.iter_arrival_slice(20, 11, 0, 20))
+        pairs = list(process.iter_arrival_slice(20, 11))
         assert [session for session, _ in pairs] == list(range(20))
-        # 0.0 + gaps[0] == gaps[0], so the (0, count) slice is bitwise
-        # the serial sequence.
         assert [delay for _, delay in pairs] == gaps
 
     @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
-    @pytest.mark.parametrize("shards", [2, 3, 7])
-    def test_slice_union_reconstructs_serial_timeline(self, kind, shards):
+    def test_is_enumerated_interarrivals_bit_for_bit(self, kind):
         process = ArrivalProcess(kind=kind, rate_qps=3.5, burst_size=4)
-        count, seed = 23, 5
-        gaps = process.interarrivals(count, seed)
-        instants = self._serial_instants(process, count, seed)
-        covered = []
-        for start, stop in partition_sessions(count, shards):
-            pairs = list(
-                process.iter_arrival_slice(count, seed, start, stop)
-            )
-            covered.extend(session for session, _ in pairs)
-            # First delay is the absolute serial instant of session
-            # ``start``; later delays are the serial gaps, bit for bit.
-            assert pairs[0] == (start, instants[start])
-            assert [delay for _, delay in pairs[1:]] == \
-                gaps[start + 1:stop]
-        assert covered == list(range(count))
+        for count in (0, 1, 7, 23):
+            for seed in (0, 5, -3):
+                expected = [
+                    (session, gap.hex()) for session, gap in
+                    enumerate(process.iter_interarrivals(count, seed))
+                ]
+                actual = [
+                    (session, gap.hex()) for session, gap in
+                    process.iter_arrival_slice(count, seed)
+                ]
+                assert actual == expected
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_gap_fold_reconstructs_arrival_times(self, kind):
+        # The engine's timeline is the left-to-right ``t = t + gap``
+        # fold of the source's gaps; it must equal arrival_times bitwise.
+        process = ArrivalProcess(kind=kind, rate_qps=3.5, burst_size=4)
+        instants, t = [], 0.0
+        for _, gap in process.iter_arrival_slice(23, 5):
+            t = t + gap
+            instants.append(t)
+        assert instants == process.arrival_times(23, seed=5)
 
     def test_empty_slice_yields_nothing(self):
         process = ArrivalProcess()
-        assert list(process.iter_arrival_slice(10, 0, 4, 4)) == []
+        assert list(process.iter_arrival_slice(0, 0)) == []
 
     def test_slice_bounds_validated(self):
         process = ArrivalProcess()
-        for start, stop in [(-1, 3), (4, 2), (0, 11), (11, 11)]:
-            with pytest.raises(ValueError, match="arrival slice"):
-                list(process.iter_arrival_slice(10, 0, start, stop))
-
-    def test_bursty_prefix_is_stable_under_truncation(self):
-        # Drawing a prefix of a longer axis must not disturb the gaps:
-        # slice (0, 5) of a 50-session axis equals the first 5 serial
-        # gaps of that same axis.
-        process = ArrivalProcess(kind="bursty", rate_qps=2.0, burst_size=3)
-        gaps = process.interarrivals(50, seed=9)
-        pairs = list(process.iter_arrival_slice(50, 9, 0, 5))
-        assert [delay for _, delay in pairs] == gaps[:5]
-
-
-class TestPartitionSessions:
-    def test_balanced_partition(self):
-        assert partition_sessions(10, 3) == ((0, 4), (4, 7), (7, 10))
-
-    def test_single_shard_is_the_full_axis(self):
-        assert partition_sessions(17, 1) == ((0, 17),)
-
-    def test_more_shards_than_sessions_yields_empty_tail(self):
-        slices = partition_sessions(2, 5)
-        assert slices == ((0, 1), (1, 2), (2, 2), (2, 2), (2, 2))
-
-    def test_zero_sessions(self):
-        assert partition_sessions(0, 3) == ((0, 0), (0, 0), (0, 0))
-
-    def test_covers_every_session_exactly_once(self):
-        for count in (0, 1, 7, 64):
-            for shards in (1, 2, 5, 9):
-                slices = partition_sessions(count, shards)
-                assert len(slices) == shards
-                assert slices[0][0] == 0
-                assert slices[-1][1] == count
-                for (_, stop), (start, _) in zip(slices, slices[1:]):
-                    assert stop == start
-
-    def test_validation(self):
         with pytest.raises(ValueError, match="count"):
-            partition_sessions(-1, 2)
-        with pytest.raises(ValueError, match="shards"):
-            partition_sessions(4, 0)
+            list(process.iter_arrival_slice(-1, 0))
+
+    @pytest.mark.parametrize("prefix", [1, 5, 22])
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_prefix_is_stable_under_truncation(self, kind, prefix):
+        # Drawing fewer sessions must not disturb the gaps: the first
+        # ``prefix`` gaps of a 50-session axis are a ``prefix``-session
+        # draw, including a bursty batch cut short at the end.
+        process = ArrivalProcess(kind=kind, rate_qps=2.0, burst_size=3)
+        long_axis = list(process.iter_arrival_slice(50, 9))
+        assert list(process.iter_arrival_slice(prefix, 9)) == \
+            long_axis[:prefix]
 
 
 class TestThinkTime:
