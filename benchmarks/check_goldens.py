@@ -1,7 +1,7 @@
 """Run every registered scenario and check it against its committed golden.
 
 The tier-2 nightly workflow drives this script (with ``--jobs 2`` so the
-sharded execution layer is exercised), but it is just as useful locally
+process-pool path of the runner is exercised), but it is just as useful locally
 before regenerating goldens:
 
     PYTHONPATH=src python benchmarks/check_goldens.py --jobs 2
@@ -27,8 +27,8 @@ import sys
 import time
 
 from repro.scenarios import (
+    RunExecutionError,
     ScenarioRunner,
-    ShardExecutionError,
     compare_to_golden,
     golden_filename,
     scenario_names,
@@ -74,10 +74,8 @@ def _check_one(
         return "BAD GOLDEN", 0.0, [f"{golden_path}: {exc}"]
     try:
         report = ScenarioRunner(name, jobs=jobs, fast=fast).run()
-    except ShardExecutionError as exc:
-        return "ERROR", time.perf_counter() - started, [
-            f"run point {exc.run_id!r} failed: {exc}"
-        ]
+    except RunExecutionError as exc:
+        return "ERROR", time.perf_counter() - started, [str(exc)]
     except Exception as exc:  # noqa: BLE001 - reported per scenario
         return "ERROR", time.perf_counter() - started, [
             f"{type(exc).__name__}: {exc}"
@@ -127,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--jobs", "-j", type=int, default=2,
-        help="shard pool size per scenario (default 2)",
+        help="worker processes per scenario, one task per run point "
+             "(default 2; 1 = the serial path)",
     )
     parser.add_argument(
         "--scenario", action="append", default=None,

@@ -5,8 +5,8 @@ The clustered (``ablation_fragment_clustering``, the ``fig6_1store``
 rewritten onto vectorised shared templates with bulk buffer probing.
 These checks pin the behaviour-preserving claim end to end: each
 scenario's reduced sweep must reproduce the committed golden's
-``metrics_fingerprint`` byte-for-byte, serially (``--jobs 1``) and
-sharded (``--jobs 2``), and the two reports must serialise identically
+``metrics_fingerprint`` byte-for-byte, serially (``--jobs 1``) and in
+a process pool (``--jobs 2``), and the two reports must serialise identically
 under ``--stable``.
 """
 
@@ -41,12 +41,12 @@ def _golden(name: str) -> dict:
 def test_fast_path_matches_golden_at_jobs_1_and_2(name):
     golden = _golden(name)
     serial = ScenarioRunner(name, fast=True, jobs=1).run()
-    sharded = ScenarioRunner(name, fast=True, jobs=2).run()
+    pooled = ScenarioRunner(name, fast=True, jobs=2).run()
 
     assert compare_to_golden(serial, golden) == []
-    assert compare_to_golden(sharded, golden) == []
+    assert compare_to_golden(pooled, golden) == []
     assert serial.metrics_fingerprint() == golden["metrics_fingerprint"]
-    assert sharded.metrics_fingerprint() == golden["metrics_fingerprint"]
+    assert pooled.metrics_fingerprint() == golden["metrics_fingerprint"]
     # The whole stable report — not just the fingerprint — must be
-    # byte-identical between the serial and the sharded execution.
-    assert serial.to_json(stable=True) == sharded.to_json(stable=True)
+    # byte-identical between the serial and the pool execution.
+    assert serial.to_json(stable=True) == pooled.to_json(stable=True)

@@ -45,7 +45,6 @@ FLOAT_FOLD_PATHS = frozenset(
         "sim/metrics.py",
         "sim/simulator.py",
         "scenarios/runner.py",
-        "scenarios/shard.py",
     }
 )
 

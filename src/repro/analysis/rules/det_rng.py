@@ -3,7 +3,7 @@
 The repo's reproducibility contract is that every random draw descends
 from ``RunSpec.seed`` through ``workload/arrivals.py``'s ``derive_rng``
 (string-salted SHA-512 derivation), so two runs of the same spec — and
-the same spec sharded across processes — replay bit-identical streams.
+the same spec run in a pool worker — replay bit-identical streams.
 The bug classes this rule rejects:
 
 * calls on the *global* ``random`` module (``random.random()``,

@@ -1,9 +1,8 @@
 """POOL-SAFE: no module-level mutable state written from worker code.
 
-``scenarios/runner.py`` fans runs out over a fork-based process pool
-(and ``scenarios/shard.py`` folds the shards back together).  Any
-function reachable from a pool worker that *writes* module-level
-mutable state is a hazard twice over:
+``scenarios/runner.py`` fans run points out over a fork-based process
+pool.  Any function reachable from a pool worker that *writes*
+module-level mutable state is a hazard twice over:
 
 * under fork, each worker mutates its own copy-on-write clone, so the
   parent silently never sees the write (stale caches, lost metrics);
@@ -43,7 +42,6 @@ from repro.analysis.rules import (
 POOL_WORKER_PATHS = frozenset(
     {
         "scenarios/runner.py",
-        "scenarios/shard.py",
     }
 )
 

@@ -152,25 +152,32 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    schema = _schema(args)
-    # repro-lint: disable=DET-RNG -- one-shot CLI entry point: the whole
-    # stream derives from --seed and never mixes with simulation state.
-    rng = random.Random(args.seed)
-    query = query_type(args.query).instantiate(schema, rng)
     from dataclasses import replace
 
-    params = replace(
-        SimulationParameters().with_hardware(
-            n_disks=args.disks,
-            n_nodes=args.nodes,
-            subqueries_per_node=args.tasks,
-        ),
-        io_coalesce=args.io_coalesce,
-        record_retention=args.retention,
-        seed=args.seed,
-    )
-    fragmentation = _parse_fragmentation(args.fragmentation[0])
-    simulator = ParallelWarehouseSimulator(schema, fragmentation, params)
+    try:
+        schema = _schema(args)
+        # repro-lint: disable=DET-RNG -- one-shot CLI entry point: the
+        # whole stream derives from --seed and never mixes with
+        # simulation state.
+        rng = random.Random(args.seed)
+        query = query_type(args.query).instantiate(schema, rng)
+        params = replace(
+            SimulationParameters().with_hardware(
+                n_disks=args.disks,
+                n_nodes=args.nodes,
+                subqueries_per_node=args.tasks,
+            ),
+            io_coalesce=args.io_coalesce,
+            record_retention=args.retention,
+            seed=args.seed,
+        )
+        fragmentation = _parse_fragmentation(args.fragmentation[0])
+        simulator = ParallelWarehouseSimulator(schema, fragmentation, params)
+        if args.repeat < 1:
+            raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     result = simulator.run_repeated(query, args.repeat)
     print(f"query: {query}")
     print(f"fragmentation: {fragmentation}")
@@ -192,38 +199,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _bench_jobs(args: argparse.Namespace) -> int:
-    """Effective pool size: --jobs, else --workers, else all CPUs."""
-    if args.jobs is not None:
-        return args.jobs
-    if args.workers is not None:
-        return args.workers
-    return os.cpu_count() or 1
+    """Effective pool size: --jobs, else all CPUs."""
+    return args.jobs if args.jobs is not None else os.cpu_count() or 1
 
 
-def _warm_progress(descriptions: list[str]) -> None:
-    """Report the pre-fork cache warm-up (databases split across shards)."""
-    from repro.mdhf.fragments import geometry_cache_info
-
-    cache = geometry_cache_info()
+def _run_progress(done: int, total: int, result) -> None:
+    """One line per completed run point (pool completion order)."""
     print(
-        f"  [warm] {len(descriptions)} shared databases pre-built for "
-        f"forked workers ({cache['entries']} cached geometries)",
-        flush=True,
-    )
-    for description in descriptions:
-        print(f"  [warm]   {description}", flush=True)
-
-
-def _shard_progress(outcome, plan) -> None:
-    """One line per completed shard (pool completion order)."""
-    shard = plan.shards[outcome.index]
-    if outcome.error is not None:
-        status = f"FAILED at run {outcome.error.run_id!r}"
-    else:
-        status = f"ok {len(outcome.results):>3} runs"
-    print(
-        f"  [shard {outcome.index + 1}/{len(plan.shards)}] {status} "
-        f"in {outcome.wall_clock_s:.2f}s  ({shard.span()})",
+        f"  [run {done}/{total}] {result.run_id} ok in "
+        f"{result.wall_clock_s:.2f}s",
         flush=True,
     )
 
@@ -238,6 +222,73 @@ def _golden_is_stable(golden: dict) -> bool:
     )
 
 
+def _regen_golden(
+    scenario, fast: bool, path: str, args: argparse.Namespace
+) -> tuple[int, str | None, str | None]:
+    """Regenerate one golden file in place.
+
+    Reads the old golden (a corrupt one is an error, never silently
+    overwritten), keeps its stability mode unless ``--stable`` is given,
+    runs the scenario, writes the report and prints the old -> new
+    fingerprint pair.  Returns ``(exit code, old fingerprint, new
+    fingerprint)``; the old fingerprint is ``None`` for a new golden.
+    """
+    import json
+
+    from repro.scenarios import RunExecutionError, ScenarioRunner, write_report
+
+    golden_before = None
+    if os.path.exists(path):
+        try:
+            with open(path) as handle:
+                golden_before = json.load(handle)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read existing golden {path}: {exc} "
+                  f"(delete the file to regenerate from scratch)",
+                  file=sys.stderr)
+            return 2, None, None
+    # An explicit --stable wins; otherwise preserve the golden's
+    # stability mode.
+    stable = args.stable or (
+        golden_before is not None and _golden_is_stable(golden_before)
+    )
+    jobs = _bench_jobs(args)
+    started = time.perf_counter()
+    try:
+        runner = ScenarioRunner(
+            scenario, jobs=jobs, fast=fast,
+            on_run=_run_progress if jobs > 1 else None,
+        )
+        report = runner.run()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, None, None
+    except RunExecutionError as exc:
+        _print_run_failure(exc, scenario.name)
+        return 1, None, None
+    write_report(report, path, stable=stable)
+    new_fingerprint = report.metrics_fingerprint()
+    if golden_before is None:
+        old_fingerprint, status = None, "new golden"
+    else:
+        old_fingerprint = golden_before.get("metrics_fingerprint")
+        status = (
+            "unchanged" if old_fingerprint == new_fingerprint else "CHANGED"
+        )
+    print(f"regenerated {path} ({status}, "
+          f"{time.perf_counter() - started:.1f}s)")
+    print(f"fingerprint: {old_fingerprint or '(none)'}")
+    print(f"          -> {new_fingerprint}", flush=True)
+    return 0, old_fingerprint, new_fingerprint
+
+
+def _print_run_failure(exc, scenario_name: str) -> None:
+    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: run point {exc.run_id!r} of scenario "
+          f"{scenario_name!r} failed; see the traceback above",
+          file=sys.stderr)
+
+
 def _cmd_bench_regen_all(args: argparse.Namespace) -> int:
     """Regenerate every scenario's committed golden(s) in one sweep.
 
@@ -246,15 +297,7 @@ def _cmd_bench_regen_all(args: argparse.Namespace) -> int:
     stability mode), and ends with a per-scenario fingerprint diff
     summary — so a schema migration is one command.
     """
-    import json
-
-    from repro.scenarios import (
-        ScenarioRunner,
-        ShardExecutionError,
-        golden_filename,
-        iter_scenarios,
-        write_report,
-    )
+    from repro.scenarios import golden_filename, iter_scenarios
 
     for flag, value in (
         ("--scenario", args.scenario), ("--out", args.out),
@@ -279,7 +322,6 @@ def _cmd_bench_regen_all(args: argparse.Namespace) -> int:
               f"exist (run from the repo root or pass --golden-dir)",
               file=sys.stderr)
         return 2
-    jobs = _bench_jobs(args)
     summary = []
     skipped = []
     for scenario in iter_scenarios():
@@ -294,30 +336,14 @@ def _cmd_bench_regen_all(args: argparse.Namespace) -> int:
             skipped.append(scenario.name)
             continue
         for fast, path in variants:
-            try:
-                with open(path) as handle:
-                    golden_before = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read existing golden {path}: {exc} "
-                      f"(delete the file to regenerate from scratch)",
-                      file=sys.stderr)
-                return 2
-            stable = args.stable or _golden_is_stable(golden_before)
-            started = time.perf_counter()
-            try:
-                report = ScenarioRunner(scenario, jobs=jobs, fast=fast).run()
-            except ShardExecutionError as exc:
-                print(f"error: run point {exc.run_id!r} of scenario "
-                      f"{scenario.name!r} failed: {exc}", file=sys.stderr)
-                return 1
-            write_report(report, path, stable=stable)
-            summary.append((
-                os.path.basename(path),
-                golden_before.get("metrics_fingerprint"),
-                report.metrics_fingerprint(),
-            ))
-            print(f"regenerated {path} "
-                  f"({time.perf_counter() - started:.1f}s)", flush=True)
+            code, old_fingerprint, new_fingerprint = _regen_golden(
+                scenario, fast, path, args
+            )
+            if code:
+                return code
+            summary.append(
+                (os.path.basename(path), old_fingerprint, new_fingerprint)
+            )
     if skipped:
         print(f"skipped (no committed golden): {', '.join(skipped)}")
     print("\nfingerprint diff summary:")
@@ -336,8 +362,8 @@ def _cmd_bench_regen_all(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.scenarios import (
+        RunExecutionError,
         ScenarioRunner,
-        ShardExecutionError,
         compare_to_golden,
         get_scenario,
         golden_filename,
@@ -363,7 +389,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    golden_before = None
     if args.regen:
         # Regenerate the committed golden in place; the flags that would
         # change the run matrix away from the golden's are rejected.
@@ -384,44 +409,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         out = os.path.join(
             args.golden_dir, golden_filename(scenario.name, args.fast)
         )
-        if os.path.exists(out):
-            import json
-
-            try:
-                with open(out) as handle:
-                    golden_before = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read existing golden {out}: {exc} "
-                      f"(delete the file to regenerate from scratch)",
-                      file=sys.stderr)
-                return 2
-            # An explicit --stable wins; otherwise preserve the golden's
-            # stability mode.  Stable reports zero *every* wall-clock
-            # field; requiring the per-run fields too keeps a fast
-            # non-stable golden (whose total happens to round to 0.0)
-            # from being silently converted.
-            if not args.stable:
-                args.stable = _golden_is_stable(golden_before)
-        else:
-            sibling = os.path.join(
-                args.golden_dir,
-                golden_filename(scenario.name, not args.fast),
+        sibling = os.path.join(
+            args.golden_dir, golden_filename(scenario.name, not args.fast)
+        )
+        if not os.path.exists(out) and os.path.exists(sibling):
+            # Don't silently fork a second golden variant (the nightly
+            # sweep would then run both matrices forever).
+            hint = "drop --fast" if args.fast else "add --fast"
+            print(
+                f"error: no {out} but {sibling} exists; {hint} to "
+                f"regenerate the committed golden, or remove the "
+                f"existing file first to switch variants",
+                file=sys.stderr,
             )
-            if os.path.exists(sibling):
-                # Don't silently fork a second golden variant (the
-                # nightly sweep would then run both matrices forever).
-                hint = (
-                    "drop --fast" if args.fast else "add --fast"
-                )
-                print(
-                    f"error: no {out} but {sibling} exists; {hint} to "
-                    f"regenerate the committed golden, or remove the "
-                    f"existing file first to switch variants",
-                    file=sys.stderr,
-                )
-                return 2
-    else:
-        out = args.out or f"BENCH_{scenario.name}.json"
+            return 2
+        return _regen_golden(scenario, args.fast, out, args)[0]
+    out = args.out or f"BENCH_{scenario.name}.json"
     out_dir = os.path.dirname(out) or "."
     if not os.path.isdir(out_dir):
         print(f"error: output directory {out_dir!r} does not exist",
@@ -459,35 +462,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         runner = ScenarioRunner(
             scenario, jobs=jobs, fast=args.fast, seed=args.seed,
             run_ids=run_ids, seeds=seeds,
-            on_shard=_shard_progress if jobs > 1 else None,
-            on_warm=_warm_progress if jobs > 1 else None,
+            on_run=_run_progress if jobs > 1 else None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         report = runner.run()
-    except ShardExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"error: run point {exc.run_id!r} (shard {exc.shard_index}) "
-              f"failed; see the traceback above", file=sys.stderr)
+    except RunExecutionError as exc:
+        _print_run_failure(exc, scenario.name)
         return 1
     write_report(report, out, stable=args.stable)
-    if args.regen:
-        new_fingerprint = report.metrics_fingerprint()
-        if golden_before is None:
-            print(f"regenerated {out} (new golden)")
-            print(f"fingerprint: (none) -> {new_fingerprint}")
-        else:
-            old_fingerprint = golden_before.get("metrics_fingerprint")
-            changed = (
-                "unchanged" if old_fingerprint == new_fingerprint
-                else "CHANGED"
-            )
-            print(f"regenerated {out} ({changed})")
-            print(f"fingerprint: {old_fingerprint}")
-            print(f"          -> {new_fingerprint}")
-        return 0
     print(f"scenario: {scenario.name} ({scenario.title})")
     for result in report.runs:
         response = result.metrics.get(
@@ -606,14 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "-j", "--jobs", type=int, default=None,
-        help="shard the run matrix across this many worker processes "
-             "(default: all CPUs; 1 = the serial path; the metrics "
-             "fingerprint is identical for any value, and reports are "
-             "byte-identical under --stable)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated alias for --jobs",
+        help="execute the run points across this many worker processes, "
+             "one task per point (default: all CPUs; 1 = the serial "
+             "path; the metrics fingerprint is identical for any value, "
+             "and reports are byte-identical under --stable)",
     )
     bench.add_argument(
         "--out", default=None,
@@ -626,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--seeds", default=None, metavar="S0,S1,...",
         help="replicate the matrix over these seeds (run_ids gain a "
-             "_s<seed> suffix); the seed axis is sharded like any other",
+             "_s<seed> suffix); each replica is its own run point",
     )
     bench.add_argument(
         "--runs", default=None,

@@ -61,16 +61,6 @@ def geometry_for(
     return geometry
 
 
-def geometry_cache_info() -> dict[str, int]:
-    """Occupancy of the shared geometry cache (for warm-up diagnostics).
-
-    The scenario sharding layer warms this cache in the pool's parent
-    process before forking workers; the returned ``entries`` /
-    ``limit`` pair lets callers report what the workers will inherit.
-    """
-    return {"entries": len(_GEOMETRY_CACHE), "limit": _GEOMETRY_CACHE_LIMIT}
-
-
 class FragmentGeometry:
     """Coordinate arithmetic and sizing for a fragmentation of a schema."""
 

@@ -6,11 +6,13 @@ Public surface:
   — the declarative registry of every experiment (paper figures and
   tables, ablations, beyond-paper configurations),
 * :class:`ScenarioRunner` — expands a scenario matrix and executes it,
-  optionally across a process pool,
+  one task per run point, serially or across a process pool
+  (``repro bench --jobs N``); a failing point raises
+  :class:`RunExecutionError` naming its ``run_id``,
 * :func:`execute_run` / :func:`write_report` / :func:`validate_report`
   — single-point execution and the ``BENCH_<scenario>.json`` format,
-* :func:`plan_shards` / :func:`execute_shard` / :func:`merge_outcomes`
-  — the in-run sharding layer (``repro bench --jobs N``).
+* :func:`warm_caches` — builds the schema and database caches of a set
+  of run points ahead of executing them.
 """
 
 from repro.scenarios.registry import (
@@ -23,6 +25,7 @@ from repro.scenarios.runner import (
     BENCH_SCHEMA_VERSION,
     ENGINE_INTERNAL_METRICS,
     BenchReport,
+    RunExecutionError,
     RunResult,
     ScenarioRunner,
     compare_to_golden,
@@ -30,17 +33,8 @@ from repro.scenarios.runner import (
     golden_filename,
     physical_metrics,
     validate_report,
-    write_report,
-)
-from repro.scenarios.shard import (
-    Shard,
-    ShardExecutionError,
-    ShardOutcome,
-    ShardPlan,
-    execute_shard,
-    merge_outcomes,
-    plan_shards,
     warm_caches,
+    write_report,
 )
 from repro.scenarios.spec import RunSpec, ScenarioSpec, grid
 
@@ -48,24 +42,18 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "ENGINE_INTERNAL_METRICS",
     "BenchReport",
+    "RunExecutionError",
     "RunResult",
     "RunSpec",
     "ScenarioRunner",
     "ScenarioSpec",
-    "Shard",
-    "ShardExecutionError",
-    "ShardOutcome",
-    "ShardPlan",
     "compare_to_golden",
     "execute_run",
-    "execute_shard",
     "get_scenario",
     "golden_filename",
     "grid",
     "iter_scenarios",
-    "merge_outcomes",
     "physical_metrics",
-    "plan_shards",
     "register",
     "scenario_names",
     "validate_report",

@@ -228,11 +228,6 @@ register(
             "group_deg20", "group_deg100", "class_deg20", "class_deg100",
             "code_deg100",
         ),
-        # The F_MonthCode points are still ~10x slower than the
-        # group/class points (even on the PR 5 fast path) and the code
-        # degrees share one database group, so without chunk_size=1 the
-        # planner would pile them up behind one worker.
-        chunk_size=1,
     )
 )
 
@@ -332,9 +327,6 @@ register(
             )
         ),
         fast_run_ids=("cluster8", "cluster32"),
-        # No chunk_size=1 crutch: every point has its own cluster_factor
-        # and therefore its own database group, so the shard planner
-        # already gives each point its own shard.
     )
 )
 
@@ -715,9 +707,6 @@ register(
                     streams=100_000, arrival_rate_qps=100.0),
         ),
         fast_run_ids=("sessions10000_full", "sessions10000"),
-        # Each point is its own long-running simulation; never group two
-        # behind one worker.
-        chunk_size=1,
     )
 )
 

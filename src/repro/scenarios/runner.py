@@ -17,6 +17,8 @@ import json
 import multiprocessing
 import random
 import time
+import traceback
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.scenarios.spec import (
@@ -117,6 +119,17 @@ def _database_for(run: RunSpec, schema):
     return database
 
 
+def warm_caches(runs: Iterable[RunSpec]) -> list[str]:
+    """Build the schema / geometry / database caches for ``runs``.
+
+    Later runs in this process then reuse the built
+    :class:`~repro.sim.database.SimulatedDatabase` objects.  Returns one
+    :meth:`~repro.sim.database.SimulatedDatabase.describe` line per
+    warmed database.
+    """
+    return [_database_for(run, _schema_for(run)).describe() for run in runs]
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one executed run point."""
@@ -185,61 +198,14 @@ def _sim_metrics(run: RunSpec) -> dict:
     }
 
 
-def _session_streams(run: RunSpec, schema) -> list[list]:
-    """The per-stream query lists for multi-user and open-system runs."""
-    from repro.workload.queries import query_type
-
-    template = query_type(run.query)
-    return [
-        [
-            template.instantiate(
-                schema,
-                random.Random(
-                    run.seed + run.stream_seed_stride * s + q
-                ),
-            )
-            for q in range(run.queries_per_stream)
-        ]
-        for s in range(run.streams)
-    ]
-
-
-def _multi_user_metrics(run: RunSpec) -> dict:
-    from repro.sim.simulator import ParallelWarehouseSimulator
-
-    schema = _schema_for(run)
-    simulator = ParallelWarehouseSimulator(
-        schema,
-        run.parsed_fragmentation(),
-        run.sim_params(),
-        database=_database_for(run, schema),
-    )
-    result = simulator.run_multi_user(_session_streams(run, schema))
-    return {
-        "streams": run.streams,
-        "query_count": result.query_count,
-        "avg_response_time_s": _round6(result.avg_response_time),
-        "max_response_time_s": _round6(result.max_response_time),
-        "elapsed_s": _round6(result.elapsed),
-        "throughput_qps": _round6(result.query_count / result.elapsed),
-        "total_pages": result.total_pages,
-        "avg_disk_utilization": _round6(result.avg_disk_utilization),
-        "avg_cpu_utilization": _round6(result.avg_cpu_utilization),
-        "event_count": result.event_count,
-    }
-
-
-#: Largest stream count whose per-stream rollup is emitted into the
-#: metrics payload; beyond it the rollup would dwarf every other key.
-_PER_STREAM_METRIC_CAP = 512
-
-
 def _session_query_factory(run: RunSpec, schema):
-    """The lazy per-session query factory open-system runs draw from.
+    """The per-session query factory of multi-user and open-system runs.
 
     Each session's queries come from their own derived RNG, so the
     factory is byte-identical to materialising every stream up front,
-    independent of which process instantiates it.
+    independent of which process instantiates it.  Multi-user runs call
+    it once per stream; open-system runs call it lazily, at each
+    session's arrival.
     """
     from repro.workload.queries import query_type
 
@@ -257,6 +223,39 @@ def _session_query_factory(run: RunSpec, schema):
         ]
 
     return session_queries
+
+
+def _multi_user_metrics(run: RunSpec) -> dict:
+    from repro.sim.simulator import ParallelWarehouseSimulator
+
+    schema = _schema_for(run)
+    simulator = ParallelWarehouseSimulator(
+        schema,
+        run.parsed_fragmentation(),
+        run.sim_params(),
+        database=_database_for(run, schema),
+    )
+    session_queries = _session_query_factory(run, schema)
+    result = simulator.run_multi_user(
+        [session_queries(stream) for stream in range(run.streams)]
+    )
+    return {
+        "streams": run.streams,
+        "query_count": result.query_count,
+        "avg_response_time_s": _round6(result.avg_response_time),
+        "max_response_time_s": _round6(result.max_response_time),
+        "elapsed_s": _round6(result.elapsed),
+        "throughput_qps": _round6(result.query_count / result.elapsed),
+        "total_pages": result.total_pages,
+        "avg_disk_utilization": _round6(result.avg_disk_utilization),
+        "avg_cpu_utilization": _round6(result.avg_cpu_utilization),
+        "event_count": result.event_count,
+    }
+
+
+#: Largest stream count whose per-stream rollup is emitted into the
+#: metrics payload; beyond it the rollup would dwarf every other key.
+_PER_STREAM_METRIC_CAP = 512
 
 
 def _open_system_metrics(run: RunSpec) -> dict:
@@ -543,8 +542,8 @@ def _derived_metrics(runs: list[RunResult]) -> dict:
         peak = max(getattr(r, "peak_rss_kb", 0.0) for r in runs)
         if peak > 0:
             # Peak RSS across the executing processes (ru_maxrss is a
-            # per-process high-water mark, so under sharding this is
-            # the hungriest worker).  Unhashed host diagnostics, like
+            # per-process high-water mark, so under a pool this is the
+            # hungriest worker).  Unhashed host diagnostics, like
             # the wall-clock block.
             derived["resources"] = {"peak_rss_kb": round(peak, 1)}
     open_runs = [r for r in runs if "offered_load_qps" in r.metrics]
@@ -583,14 +582,14 @@ def _derived_metrics(runs: list[RunResult]) -> dict:
 
 
 def _pool_context():
-    """The multiprocessing context for shard pools.
+    """The multiprocessing context for the run-point pool.
 
-    ``fork`` lets workers inherit the parent's warmed schema/database
-    caches copy-on-write (see :func:`repro.scenarios.shard.warm_caches`).
-    Only Linux gets the override: macOS lists ``fork`` but forking after
-    system frameworks load is documented unsafe there (CPython's own
-    default moved to ``spawn`` in 3.8).  Everywhere else the platform
-    default applies and each worker cold-starts its own caches.
+    ``fork`` on Linux, so workers start without re-importing the
+    package.  Only Linux gets the override: macOS lists ``fork`` but
+    forking after system frameworks load is documented unsafe there
+    (CPython's own default moved to ``spawn`` in 3.8).  Everywhere else
+    the platform default applies.  Either way each worker builds the
+    schema and database caches its run points need.
     """
     import sys
 
@@ -602,31 +601,53 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
+class RunExecutionError(RuntimeError):
+    """A run point failed; ``run_id`` names it."""
+
+    def __init__(self, message: str, run_id: str):
+        # Both values in ``args``, so the error pickles out of a worker.
+        super().__init__(message, run_id)
+        self.run_id = run_id
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _execute_named(run: RunSpec) -> RunResult:
+    """:func:`execute_run`, re-raising a failure as :class:`RunExecutionError`.
+
+    Top-level so pools can pickle it.  The message carries the failing
+    ``run_id`` and the original traceback, which a pool cannot send back
+    as live frames.
+    """
+    try:
+        return execute_run(run)
+    except Exception as exc:
+        raise RunExecutionError(
+            f"run point {run.run_id!r} failed: {type(exc).__name__}: "
+            f"{exc}\n{traceback.format_exc()}",
+            run.run_id,
+        ) from exc
+
+
 class ScenarioRunner:
-    """Expand a scenario's matrix and execute it, optionally sharded.
+    """Expand a scenario's matrix and execute it, one task per run point.
 
-    Execution is split into three deterministic phases:
-
-    * :meth:`plan` — expand the (possibly reduced / subset / re-seeded /
-      seed-replicated) run list and partition it into shards,
-    * :meth:`execute` — run the shards serially or across a process
-      pool (completion order is irrelevant),
-    * merge — reassemble results in the original run order (inside
-      :meth:`run`), so ``metrics_fingerprint`` is byte-identical for
-      any ``jobs`` count, including the serial path.
+    ``jobs == 1`` executes the points in order in this process;
+    ``jobs > 1`` submits every point to one process pool.  Results come
+    back in run order either way, so ``metrics_fingerprint`` is
+    byte-identical for any ``jobs`` count.
     """
 
     def __init__(
         self,
         scenario: ScenarioSpec | str,
-        workers: int | None = None,
         fast: bool = False,
         seed: int | None = None,
         run_ids: list[str] | None = None,
-        jobs: int | None = None,
+        jobs: int = 1,
         seeds: list[int] | None = None,
-        on_shard=None,
-        on_warm=None,
+        on_run=None,
     ):
         if isinstance(scenario, str):
             from repro.scenarios.registry import get_scenario
@@ -635,16 +656,9 @@ class ScenarioRunner:
         if seed is not None and seeds is not None:
             raise ValueError("pass either seed or seeds, not both")
         self.scenario = scenario
-        #: ``jobs`` is the canonical pool-size knob; ``workers`` is the
-        #: pre-sharding name, kept as an alias.
-        if jobs is not None:
-            self.jobs = jobs
-        elif workers is not None:
-            self.jobs = workers
-        else:
-            self.jobs = 1
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
         if seeds is not None:
             seeds = list(seeds)
             if not seeds:
@@ -658,15 +672,9 @@ class ScenarioRunner:
         self.seed = seed
         self.seeds = seeds
         self.run_ids = run_ids
-        #: Optional ``callback(outcome, plan)`` fired as each shard
-        #: completes (pool completion order, not plan order).
-        self.on_shard = on_shard
-        #: Optional ``callback(descriptions)`` fired after the pre-fork
-        #: cache warm-up, with one description line per built database.
-        self.on_warm = on_warm
-        #: Host diagnostics of the last :meth:`execute` (see
-        #: :func:`repro.scenarios.shard.summarize_outcomes`).
-        self.last_shard_summary: dict = {}
+        #: Optional ``callback(done, total, result)`` fired as each run
+        #: point completes (completion order, not run order).
+        self.on_run = on_run
         if self.scenario.kind != KIND_STATIC:
             # Validate the run selection eagerly: unknown run ids and an
             # empty selection raise ValueError here, in the caller's
@@ -692,8 +700,7 @@ class ScenarioRunner:
             runs = [replace(run, seed=self.seed) for run in runs]
         if self.seeds is not None:
             # Multi-seed replication: the run x seed product, with the
-            # seed spelled into the run_id.  The shard planner splits
-            # this axis like any other part of the run list.
+            # seed spelled into the run_id.
             runs = [
                 replace(run, run_id=f"{run.run_id}_s{seed}", seed=seed)
                 for run in runs
@@ -707,102 +714,60 @@ class ScenarioRunner:
             )
         return runs
 
-    def plan(self):
-        """The deterministic shard plan for this configuration."""
-        from repro.scenarios.shard import plan_shards
+    def _completed(self, done: int, total: int, result: RunResult) -> None:
+        if self.on_run is not None:
+            self.on_run(done, total, result)
 
-        jobs = self.jobs if self.scenario.shardable else 1
-        return plan_shards(
-            self._runs(), jobs, chunk_size=self.scenario.chunk_size
-        )
+    def execute(self, runs: list[RunSpec]) -> list[RunResult]:
+        """Execute ``runs`` and return their results in run order.
 
-    def execute(self, plan) -> list[RunResult]:
-        """Execute a shard plan and return results in plan order."""
-        from repro.scenarios.shard import (
-            execute_shard,
-            merge_outcomes,
-            raise_shard_error,
-            summarize_outcomes,
-            warm_caches,
-        )
-
-        if plan.jobs <= 1 or len(plan.shards) <= 1:
-            # The pre-sharding serial path, point by point in order.
-            outcomes = []
-            for shard in plan.shards:
-                outcome = execute_shard(shard, keep_exception=True)
-                if self.on_shard is not None:
-                    self.on_shard(outcome, plan)
-                if outcome.error is not None:
-                    raise_shard_error(outcome)
-                outcomes.append(outcome)
-            self.last_shard_summary = summarize_outcomes(plan, outcomes)
-            return merge_outcomes(plan, outcomes)
+        Raises :class:`RunExecutionError` naming the first failing run
+        point; in this process it chains the original exception.
+        """
+        if self.jobs == 1 or len(runs) == 1:
+            results = []
+            for run in runs:
+                results.append(_execute_named(run))
+                self._completed(len(results), len(runs), results[-1])
+            return results
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.scenarios.shard import ShardExecutionError
-
-        context = _pool_context()
-        if context.get_start_method() == "fork":
-            # Build split databases once, pre-fork; workers inherit the
-            # caches copy-on-write instead of cold-starting every point.
-            warmed = warm_caches(plan.warm_runs)
-            if warmed and self.on_warm is not None:
-                self.on_warm(warmed)
-        outcomes = []
-        failed = None
-        processes = min(plan.jobs, len(plan.shards))
         # ProcessPoolExecutor (not multiprocessing.Pool) so that a
         # worker dying abruptly — OOM kill, segfault — raises
         # BrokenProcessPool instead of hanging the iteration forever.
         with ProcessPoolExecutor(
-            max_workers=processes, mp_context=context
+            max_workers=min(self.jobs, len(runs)), mp_context=_pool_context()
         ) as pool:
-            futures = {
-                pool.submit(execute_shard, shard): shard
-                for shard in plan.shards
-            }
+            futures = {pool.submit(_execute_named, run): run for run in runs}
+            results = {}
             try:
                 for future in as_completed(futures):
-                    outcome = future.result()
-                    if self.on_shard is not None:
-                        self.on_shard(outcome, plan)
-                    outcomes.append(outcome)
-                    if outcome.error is not None:
-                        # Don't queue the rest of the sweep behind a
-                        # known failure (in-flight shards still finish;
-                        # the executor cannot kill running workers).
-                        failed = outcome
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        break
+                    results[future] = future.result()
+                    self._completed(len(results), len(runs), results[future])
+            except RunExecutionError:
+                # Don't queue the rest of the sweep behind a known
+                # failure (in-flight runs still finish; the executor
+                # cannot kill running workers).
+                pool.shutdown(wait=False, cancel_futures=True)
+                raise
             except BrokenProcessPool as exc:
-                def _completed(future) -> bool:
-                    return (
-                        future.done()
-                        and not future.cancelled()
-                        and future.exception() is None
-                    )
-
-                broken = sorted(
-                    (
-                        shard
-                        for future, shard in futures.items()
-                        if not _completed(future)
-                    ),
-                    key=lambda shard: shard.index,
-                )
-                spans = ", ".join(shard.span() for shard in broken)
-                raise ShardExecutionError(
+                # Order matters: exception() raises on a cancelled
+                # future and blocks on a pending one.
+                unfinished = [
+                    run.run_id
+                    for future, run in futures.items()
+                    if future.cancelled()
+                    or not future.done()
+                    or future.exception() is not None
+                ]
+                raise RunExecutionError(
                     f"a worker process died abruptly (out of memory? "
-                    f"killed?) while executing shard(s) {spans}",
-                    run_id=broken[0].runs[0].run_id if broken else "?",
-                    shard_index=broken[0].index if broken else -1,
+                    f"killed?) with {len(unfinished)} run point(s) "
+                    f"unfinished: {', '.join(unfinished)}",
+                    unfinished[0],
                 ) from exc
-        if failed is not None:
-            raise_shard_error(failed)
-        self.last_shard_summary = summarize_outcomes(plan, outcomes)
-        return merge_outcomes(plan, outcomes)
+        return [results[future] for future in futures]
 
     def run(self) -> BenchReport:
         started = time.perf_counter()
@@ -827,14 +792,8 @@ class ScenarioRunner:
                 )
             )
         else:
-            report.runs.extend(self.execute(self.plan()))
+            report.runs.extend(self.execute(self._runs()))
             report.derived = _derived_metrics(report.runs)
-            if self.last_shard_summary and "wall_clock" in report.derived:
-                # Shard-level host diagnostics ride in the unhashed
-                # wall-clock block (dropped from stable reports).
-                report.derived["wall_clock"]["shards"] = dict(
-                    self.last_shard_summary
-                )
         report.wall_clock_s = time.perf_counter() - started
         return report
 

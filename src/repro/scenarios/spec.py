@@ -268,28 +268,10 @@ class ScenarioSpec:
     runs: tuple[RunSpec, ...] = ()
     #: run_ids forming the reduced sweep; empty = fast mode runs all.
     fast_run_ids: tuple[str, ...] = ()
-    #: Whether the run matrix may be split across a process pool.  Every
-    #: current scenario is shardable (run points are independent by
-    #: construction); a future scenario with cross-run state can opt out
-    #: and will always execute serially regardless of ``--jobs``.
-    shardable: bool = True
-    #: Max run points per shard; ``None`` lets the planner derive one
-    #: from the matrix size and the pool width.  Set it to 1 for
-    #: scenarios whose individual points are so heavy that grouping them
-    #: would serialise most of the sweep behind one worker — but only
-    #: when those points share a database group: the planner already
-    #: aligns shard boundaries with database groups, so points with
-    #: distinct physical databases (different fragmentation, disk count,
-    #: cluster factor or skew) never need the crutch.
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_SIMULATION, KIND_ANALYTIC, KIND_STATIC):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(
-                f"scenario {self.name!r}: chunk_size must be >= 1"
-            )
         ids = [run.run_id for run in self.runs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate run_ids in scenario {self.name!r}")

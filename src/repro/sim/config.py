@@ -9,6 +9,7 @@ grouped at the end and documented.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 
@@ -131,6 +132,19 @@ class HardwareParameters:
     subqueries_per_node: int = 4
 
     def __post_init__(self) -> None:
+        # Disk and node counts size the device lists and the task limit
+        # sizes each node's scheduler; a fraction or zero would only
+        # fail (or run wrongly) deep inside a run.
+        for name in ("n_disks", "n_nodes", "subqueries_per_node"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, numbers.Integral)
+                or isinstance(value, bool)
+                or value < 1
+            ):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
         mips = self.cpu_mips
         if not (math.isfinite(mips) and mips > 0):
             raise ValueError(
@@ -233,10 +247,6 @@ class SimulationParameters:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.hardware.n_disks < 1 or self.hardware.n_nodes < 1:
-            raise ValueError("need at least one disk and one node")
-        if self.hardware.subqueries_per_node < 1:
-            raise ValueError("subqueries_per_node must be >= 1")
         if self.io_coalesce < 1:
             raise ValueError("io_coalesce must be >= 1")
         if self.cluster_factor < 1:

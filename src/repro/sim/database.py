@@ -263,7 +263,7 @@ class SimulatedDatabase:
         return plan_query(query, self.fragmentation, self.schema, self.catalog)
 
     def describe(self) -> str:
-        """One-line identity for cache warm-up / shard progress logs."""
+        """One-line identity, as ``warm_caches`` reports it."""
         skew = (
             f" skew={self.params.data_skew}" if self.params.data_skew else ""
         )

@@ -159,6 +159,25 @@ class QuerySetup:
         )
 
 
+def _query_metrics(
+    query: StarQuery, executor: QueryExecutor, response_time: float, **extras
+) -> QueryMetrics:
+    """The measurements of one finished query; ``extras`` carries the
+    stream id and the open-system arrival accounting."""
+    io = executor.io
+    return QueryMetrics(
+        name=query.name or str(query),
+        response_time=response_time,
+        subqueries=io.subqueries,
+        fact_io_ops=io.fact_ops,
+        fact_pages=io.fact_pages,
+        bitmap_io_ops=io.bitmap_ops,
+        bitmap_pages=io.bitmap_pages,
+        coordinator_node=executor.coordinator_id,
+        **extras,
+    )
+
+
 class ParallelWarehouseSimulator:
     """A simulated Shared Disk parallel data warehouse.
 
@@ -270,18 +289,7 @@ class ParallelWarehouseSimulator:
             start = env.now
             process = executor.start()
             env.run_until_event(process.done)
-            result.record(
-                QueryMetrics(
-                    name=query.name or str(query),
-                    response_time=env.now - start,
-                    subqueries=executor.io.subqueries,
-                    fact_io_ops=executor.io.fact_ops,
-                    fact_pages=executor.io.fact_pages,
-                    bitmap_io_ops=executor.io.bitmap_ops,
-                    bitmap_pages=executor.io.bitmap_pages,
-                    coordinator_node=executor.coordinator_id,
-                )
-            )
+            result.record(_query_metrics(query, executor, env.now - start))
 
         self._collect_totals(result, env, disks, nodes, buffers)
         return result
@@ -328,16 +336,8 @@ class ParallelWarehouseSimulator:
                 process = executor.start()
                 yield process.done
                 result.record(
-                    QueryMetrics(
-                        name=query.name or str(query),
-                        response_time=env.now - start,
-                        subqueries=executor.io.subqueries,
-                        fact_io_ops=executor.io.fact_ops,
-                        fact_pages=executor.io.fact_pages,
-                        bitmap_io_ops=executor.io.bitmap_ops,
-                        bitmap_pages=executor.io.bitmap_pages,
-                        coordinator_node=executor.coordinator_id,
-                        stream=stream_id,
+                    _query_metrics(
+                        query, executor, env.now - start, stream=stream_id
                     )
                 )
 
@@ -452,15 +452,10 @@ class ParallelWarehouseSimulator:
                 yield process.done
                 controller.release()
                 result.record(
-                    QueryMetrics(
-                        name=query.name or str(query),
-                        response_time=env.now - admitted,
-                        subqueries=executor.io.subqueries,
-                        fact_io_ops=executor.io.fact_ops,
-                        fact_pages=executor.io.fact_pages,
-                        bitmap_io_ops=executor.io.bitmap_ops,
-                        bitmap_pages=executor.io.bitmap_pages,
-                        coordinator_node=executor.coordinator_id,
+                    _query_metrics(
+                        query,
+                        executor,
+                        env.now - admitted,
                         stream=session_id,
                         arrived_at=arrived,
                         admitted_at=admitted,

@@ -47,8 +47,8 @@ class TestPositives:
 class TestNegatives:
     def test_sum_of_lengths_is_integer(self, lint_tree):
         findings = lint_tree(
-            {"scenarios/shard.py": "def f(shards):\n"
-                                   "    return sum(len(s.runs) for s in shards)\n"}
+            {"scenarios/runner.py": "def f(runs):\n"
+                                    "    return sum(len(r.config) for r in runs)\n"}
         )
         assert findings == []
 

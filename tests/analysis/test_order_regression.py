@@ -1,12 +1,12 @@
 """Satellite: the DET-ORDER specimens stay sorted-or-proven.
 
-ISSUE 10 named the ``projected: set[int]`` in ``mdhf/routing.py`` and
-the set handling in ``scenarios/shard.py`` as DET-ORDER's motivating
-specimens.  Both turn out to be true negatives — every consumer sorts
-or is order-insensitive — so instead of code changes these tests pin
-that status: the linter must keep reporting zero DET-ORDER findings in
-those files, routing's fragment axes must come out sorted, and the
-sharded fingerprint must stay byte-identical to the serial one.
+ISSUE 10 named the ``projected: set[int]`` in ``mdhf/routing.py`` as a
+DET-ORDER motivating specimen.  It turns out to be a true negative —
+every consumer sorts or is order-insensitive — so instead of code
+changes these tests pin that status: the linter must keep reporting
+zero DET-ORDER findings in that file, routing's fragment axes must come
+out sorted, and the pool fingerprint must stay byte-identical to the
+serial one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class TestLintStatus:
         order = [
             f for f in findings
             if f.rule == "DET-ORDER"
-            and f.path in ("mdhf/routing.py", "scenarios/shard.py")
+            and f.path == "mdhf/routing.py"
         ]
         assert order == []
 
@@ -59,8 +59,8 @@ class TestRoutingAxesSorted:
         )
 
 
-class TestShardFingerprintPinned:
-    def test_serial_and_sharded_fingerprints_identical(self):
+class TestPoolFingerprintPinned:
+    def test_serial_and_pool_fingerprints_identical(self):
         scenario = ScenarioSpec(
             name="_order_regression",
             title="DET-ORDER regression scenario",
@@ -78,7 +78,5 @@ class TestShardFingerprintPinned:
             ),
         )
         serial = ScenarioRunner(scenario, jobs=1).run()
-        sharded = ScenarioRunner(scenario, jobs=2).run()
-        assert (
-            serial.metrics_fingerprint() == sharded.metrics_fingerprint()
-        )
+        pooled = ScenarioRunner(scenario, jobs=2).run()
+        assert serial.metrics_fingerprint() == pooled.metrics_fingerprint()

@@ -15,9 +15,9 @@ class TestPositives:
 
     def test_mutating_method_on_module_list(self, lint_tree):
         findings = lint_tree(
-            {"scenarios/shard.py": "SEEN = []\n\n"
-                                   "def record(x):\n"
-                                   "    SEEN.append(x)\n"}
+            {"scenarios/runner.py": "SEEN = []\n\n"
+                                    "def record(x):\n"
+                                    "    SEEN.append(x)\n"}
         )
         assert [f.rule for f in findings] == ["POOL-SAFE"]
         assert ".append()" in findings[0].message
@@ -92,7 +92,7 @@ class TestNegatives:
         assert findings == []
 
     def test_outside_worker_modules(self, lint_tree):
-        # Only runner.py/shard.py execute inside pool workers.
+        # Only runner.py executes inside pool workers.
         findings = lint_tree(
             {"scenarios/registry.py": "CACHE = {}\n\n"
                                       "def put(k, v):\n"

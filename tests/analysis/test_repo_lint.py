@@ -53,6 +53,17 @@ class TestRepoIsClean:
             assert entry.rule in known
 
 
+class TestRuleScopes:
+    def test_every_scoped_path_names_an_existing_module(self):
+        # A rule scoped to a deleted file would silently check nothing.
+        from repro.analysis.rules.det_float import FLOAT_FOLD_PATHS
+        from repro.analysis.rules.pool_safe import POOL_WORKER_PATHS
+
+        root = default_root()
+        for path in sorted(FLOAT_FOLD_PATHS | POOL_WORKER_PATHS):
+            assert os.path.isfile(os.path.join(root, path)), path
+
+
 class TestFirstTrophies:
     """Satellite: the DET-RNG findings ISSUE 10 called out up front."""
 

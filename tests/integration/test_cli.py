@@ -77,12 +77,51 @@ class TestSimulate:
         assert "avg response time" in out
         assert "subqueries: 1" in out
 
-    def test_unknown_query_type_errors(self):
-        with pytest.raises(ValueError):
-            main([
-                "simulate", "1WAREHOUSE",
-                "-f", "time::month",
-            ])
+    def test_unknown_query_type_errors(self, capsys):
+        code = main([
+            "simulate", "1WAREHOUSE",
+            "-f", "time::month",
+        ])
+        assert code == 2
+        assert "error: unknown attribute token 'WAREHOUSE'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["-d", "0"], "n_disks must be an integer >= 1, got 0"),
+            (["-p", "-3"], "n_nodes must be an integer >= 1, got -3"),
+            (["-t", "0"], "subqueries_per_node must be an integer >= 1"),
+            (["--repeat", "0"], "--repeat must be >= 1, got 0"),
+            (["--io-coalesce", "0"], "io_coalesce must be >= 1"),
+        ],
+    )
+    def test_invalid_knobs_exit_2_naming_the_knob(
+        self, capsys, extra, message
+    ):
+        code = main(
+            ["simulate", "1MONTH1GROUP", "-f", "time::month"] + extra
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fragmentation, message",
+        [
+            ("bogus::x", "no dimension 'bogus'"),
+            ("time::bogus", "no level 'bogus'"),
+        ],
+    )
+    def test_unknown_fragmentation_attribute_exits_2(
+        self, capsys, fragmentation, message
+    ):
+        code = main(["simulate", "1MONTH1GROUP", "-f", fragmentation])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestParser:
@@ -93,6 +132,13 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_workers_option_is_gone(self, capsys):
+        # --jobs is the only pool-size option.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--scenario", "smoke_tiny", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_stream_shards_option_is_gone(self, capsys):
         # Runs are serial; the bench command has no stream sharding.

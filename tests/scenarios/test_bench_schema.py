@@ -270,18 +270,19 @@ class TestCliBench:
 
     def test_bench_jobs_matches_serial_fingerprint(self, tmp_path, capsys):
         serial = tmp_path / "serial.json"
-        sharded = tmp_path / "sharded.json"
+        pooled = tmp_path / "pooled.json"
         assert cli_main(
             ["bench", "--scenario", "smoke_tiny", "--jobs", "1",
              "--stable", "--out", str(serial)]
         ) == 0
         assert cli_main(
             ["bench", "--scenario", "smoke_tiny", "--jobs", "3",
-             "--stable", "--out", str(sharded)]
+             "--stable", "--out", str(pooled)]
         ) == 0
-        assert serial.read_text() == sharded.read_text()
-        # The sharded run narrates per-shard progress.
-        assert "[shard " in capsys.readouterr().out
+        assert serial.read_text() == pooled.read_text()
+        # The pool run narrates one progress line per run point.
+        out = capsys.readouterr().out
+        assert "[run 1/3] " in out and "[run 3/3] " in out
 
     def test_bench_seeds_replicates_runs(self, tmp_path):
         out = tmp_path / "seeds.json"
@@ -323,9 +324,6 @@ class TestCliBench:
             ["bench", "--scenario", "smoke_tiny", "--jobs", "0"]
         ) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
-        assert cli_main(
-            ["bench", "--scenario", "smoke_tiny", "--workers", "0"]
-        ) == 2
 
 
 class TestCliRegen:
@@ -405,6 +403,15 @@ class TestCliRegen:
         ) == 2
         assert "cannot read existing golden" in capsys.readouterr().err
 
+    def test_regen_with_a_pool_narrates_each_run(self, tmp_path, capsys):
+        assert cli_main(
+            ["bench", "--scenario", "smoke_tiny", "--regen", "--jobs", "2",
+             "--stable", "--golden-dir", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "[run 1/3] " in out and "[run 3/3] " in out
+        assert "new golden" in out
+
     def test_regen_requires_an_existing_golden_dir(self, tmp_path, capsys):
         assert cli_main(
             ["bench", "--scenario", "smoke_tiny", "--regen",
@@ -461,6 +468,23 @@ class TestCliRegenAll:
         assert "CHANGED" in out
         assert "1/1 goldens changed fingerprint" in out
         validate_report(json.loads(golden.read_text()))
+
+    def test_regen_all_rejects_non_positive_jobs_cleanly(
+        self, tmp_path, capsys
+    ):
+        assert cli_main(
+            ["bench", "--scenario", "smoke_tiny", "--fast", "--regen",
+             "--stable", "--golden-dir", str(tmp_path)]
+        ) == 0
+        golden = tmp_path / "BENCH_smoke_tiny_fast.json"
+        before = golden.read_text()
+        capsys.readouterr()
+        assert cli_main(
+            ["bench", "--regen-all", "--jobs", "0",
+             "--golden-dir", str(tmp_path)]
+        ) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert golden.read_text() == before
 
     def test_regen_all_rejects_scenario_and_regen_flags(
         self, tmp_path, capsys

@@ -32,18 +32,18 @@ class TestDeterminism:
         )
 
     def test_pool_execution_matches_serial(self, smoke_report):
-        pooled = ScenarioRunner("smoke_tiny", workers=2).run()
+        pooled = ScenarioRunner("smoke_tiny", jobs=2).run()
         assert (
             pooled.metrics_fingerprint() == smoke_report.metrics_fingerprint()
         )
 
     def test_skew_mix_fingerprint_identical_at_jobs_1_and_2(self):
         # The skewed multi-user expansion rides the rewritten fast path;
-        # its fingerprint must not depend on the shard pool width.
+        # its fingerprint must not depend on the pool width.
         serial = ScenarioRunner("multiuser_skew_mix", fast=True, jobs=1).run()
-        sharded = ScenarioRunner("multiuser_skew_mix", fast=True, jobs=2).run()
-        assert serial.metrics_fingerprint() == sharded.metrics_fingerprint()
-        assert serial.to_json(stable=True) == sharded.to_json(stable=True)
+        pooled = ScenarioRunner("multiuser_skew_mix", fast=True, jobs=2).run()
+        assert serial.metrics_fingerprint() == pooled.metrics_fingerprint()
+        assert serial.to_json(stable=True) == pooled.to_json(stable=True)
 
     def test_unknown_run_ids_raise_at_construction(self):
         with pytest.raises(ValueError, match="unknown run ids"):

@@ -74,5 +74,3 @@ class TestWarehouseScaleSpec:
         assert set(scenario.fast_run_ids) == {
             "sessions10000_full", "sessions10000"
         }
-        # One long point per shard (never two behind one worker).
-        assert scenario.chunk_size == 1

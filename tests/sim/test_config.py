@@ -8,6 +8,7 @@ import pytest
 from repro.sim.config import (
     BufferParameters,
     DiskParameters,
+    HardwareParameters,
     SimulationParameters,
     WorkloadParameters,
 )
@@ -73,6 +74,26 @@ class TestValidation:
             SimulationParameters().with_hardware(n_nodes=0)
         with pytest.raises(ValueError):
             SimulationParameters().with_hardware(subqueries_per_node=0)
+
+    @pytest.mark.parametrize(
+        "field", ["n_disks", "n_nodes", "subqueries_per_node"]
+    )
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "4"])
+    def test_hardware_counts_are_positive_integers(self, field, value):
+        # Caught at construction, with the knob and the value named.
+        with pytest.raises(ValueError) as exc:
+            HardwareParameters(**{field: value})
+        assert str(exc.value) == (
+            f"{field} must be an integer >= 1, got {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["n_disks", "n_nodes", "subqueries_per_node"]
+    )
+    def test_hardware_counts_accept_numpy_integers(self, field):
+        import numpy as np
+
+        assert getattr(HardwareParameters(**{field: np.int64(3)}), field) == 3
 
 
 class TestWorkloadParametersValidation:
