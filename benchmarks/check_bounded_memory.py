@@ -18,14 +18,22 @@ CI (perf-smoke) runs this on every PR:
 
 Exit status is non-zero when the bounded-mode growth bound is violated.
 
-``--expansion`` checks the work expander instead: it fully drains
-``SimulatedDatabase.iter_subquery_work`` for the ``cluster32`` plan
-(345,600 selected fragments in 10,800 cluster subqueries) under
-``tracemalloc``, with the database build and planning excluded, and
-fails when the traced peak exceeds ``MAX_EXPANSION_MIB``.  The
-expander emits its units block by block, so the peak is the plan's
-fragment id array plus one block; CI runs it next to the retention
-check:
+``--expansion`` checks the work expander instead.  It fully drains
+``SimulatedDatabase.iter_subquery_work`` for three plans under
+``tracemalloc``, with the database build and planning excluded:
+
+- ``cluster32``: 345,600 selected fragments in 10,800 cluster
+  subqueries (the clustered path);
+- ``fig6_1store/class_deg100``: 23,040 single-fragment subqueries with
+  12 bitmap reads each (the ``cluster_factor == 1`` path);
+- ``fig6_1store/code_deg100``: the same path with 15x the fragments.
+
+It fails when a traced peak exceeds ``MAX_EXPANSION_MIB``, or when the
+``code_deg100`` peak exceeds ``MAX_SCALE_RATIO`` times the
+``class_deg100`` peak.  The expander decodes one block of fragment ids
+at a time and turns bitmap rows into lists only as it emits their
+units, so the peak is one block's arrays and rows, whatever the plan
+selects.  CI runs it next to the retention check:
 
     PYTHONPATH=src python benchmarks/check_bounded_memory.py \
         --expansion --out expansion_memory.json
@@ -92,23 +100,33 @@ def measure(streams: int, retention: str) -> dict:
     }
 
 
-# Largest allowed traced peak of the --expansion check.  Block-wise
-# expansion measures about 3.1 MiB on cluster32; an expander that builds
-# its rows for the whole plan measured 33.9 MiB.
-MAX_EXPANSION_MIB = 12.0
+#: ``(scenario, run id)`` of the plans the --expansion check drains.
+EXPANSION_PLANS = (
+    ("ablation_fragment_clustering", "cluster32"),
+    ("fig6_1store", "class_deg100"),
+    ("fig6_1store", "code_deg100"),
+)
+
+# Largest allowed traced peak of any --expansion plan.  Measured about
+# 0.6 MiB on cluster32 and 1.3-1.5 MiB on class_deg100 and code_deg100;
+# an expander that built every selected fragment id up front and a
+# block's bitmap rows as nested lists measured 3.2, 4.2 and 6.7 MiB,
+# and one that built its rows for the whole plan 33.9 MiB on cluster32.
+MAX_EXPANSION_MIB = 3.0
+
+# Largest allowed code_deg100 / class_deg100 peak ratio: 15x the
+# selected fragments must not cost more memory (measured about 1.1x;
+# an up-front id array made it 1.6x).
+MAX_SCALE_RATIO = 1.25
 
 
-def measure_expansion() -> dict:
-    """Traced peak (MiB) of draining the cluster32 work expansion.
+def measure_expansion(scenario: str, run_id: str) -> dict:
+    """Traced peak (MiB) of draining one run point's work expansion.
 
     The database is built and the query planned before tracing starts,
     so the peak is what the expansion itself holds.  No unit is kept.
     """
-    run = next(
-        run
-        for run in get_scenario("ablation_fragment_clustering").runs
-        if run.run_id == "cluster32"
-    )
+    run = next(run for run in get_scenario(scenario).runs if run.run_id == run_id)
     schema = _schema_for(run)
     database = _database_for(run, schema)
     query = query_type(run.query).instantiate(schema, random.Random(run.seed))
@@ -124,31 +142,53 @@ def measure_expansion() -> dict:
     return {
         "run_id": run.run_id,
         "selected_fragments": plan.fragment_count,
+        "bitmaps_per_fragment": plan.bitmaps_per_fragment,
         "units": units,
         "traced_peak_mib": round(peak / 2**20, 2),
     }
 
 
+def judge_expansion(measurements: list[dict]) -> tuple[float, list[str]]:
+    """The code/class peak ratio and one message per violated bound."""
+    failures = [
+        f"draining the {m['run_id']} expansion peaked at "
+        f"{m['traced_peak_mib']:.2f} MiB (allowed {MAX_EXPANSION_MIB} MiB)"
+        for m in measurements
+        if m["traced_peak_mib"] > MAX_EXPANSION_MIB
+    ]
+    peak = {m["run_id"]: m["traced_peak_mib"] for m in measurements}
+    ratio = peak["code_deg100"] / peak["class_deg100"]
+    if ratio > MAX_SCALE_RATIO:
+        failures.append(
+            f"the code_deg100 expansion peaked at {ratio:.2f}x the "
+            f"class_deg100 one with 15x its fragments (allowed "
+            f"{MAX_SCALE_RATIO}x)"
+        )
+    return ratio, failures
+
+
 def check_expansion(out: str | None) -> int:
-    report = measure_expansion()
-    report["max_allowed_mib"] = MAX_EXPANSION_MIB
+    measurements = [measure_expansion(*plan) for plan in EXPANSION_PLANS]
+    ratio, failures = judge_expansion(measurements)
+    report = {
+        "max_allowed_mib": MAX_EXPANSION_MIB,
+        "max_scale_ratio": MAX_SCALE_RATIO,
+        "scale_ratio": round(ratio, 3),
+        "plans": measurements,
+    }
     print(json.dumps(report, indent=2))
     if out:
         with open(out, "w") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
-    peak = report["traced_peak_mib"]
-    if peak > MAX_EXPANSION_MIB:
-        print(
-            f"FAIL: draining the {report['run_id']} expansion peaked at "
-            f"{peak:.1f} MiB (allowed {MAX_EXPANSION_MIB} MiB)",
-            file=sys.stderr,
-        )
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
-    print(
-        f"ok: draining the {report['run_id']} expansion peaked at "
-        f"{peak:.1f} MiB"
+    peaks = ", ".join(
+        f"{m['run_id']} {m['traced_peak_mib']:.2f} MiB" for m in measurements
     )
+    print(f"ok: expansion peaks {peaks}; code/class ratio {ratio:.2f}x")
     return 0
 
 
@@ -173,7 +213,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--expansion", action="store_true",
         help="check the work expander instead of retention: drain the "
-             "cluster32 expansion under tracemalloc",
+             "cluster32, class_deg100 and code_deg100 expansions under "
+             "tracemalloc",
     )
     args = parser.parse_args(argv)
     if args.expansion:

@@ -202,10 +202,15 @@ class DiskAllocation:
         return disks, starts
 
     def bitmap_locations(
-        self, bitmap_index: int, fragment_ids: np.ndarray
+        self, fragment_ids: np.ndarray, n_bitmaps: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`bitmap_location` over validated ids."""
-        self._check_bitmap(bitmap_index)
+        """Vectorised :meth:`bitmap_location` over validated ids.
+
+        Returns ``(disks, starts)``, two int64 arrays of shape
+        ``(len(fragment_ids), n_bitmaps)``: row ``i``, column ``bi``
+        locates bitmap ``bi`` of ``fragment_ids[i]``.
+        """
+        self._check_bitmap(n_bitmaps - 1)
         if self.cluster_factor != 1:
             raise ValueError(
                 "per-fragment bitmap placement is undefined for clustered "
@@ -213,14 +218,16 @@ class DiskAllocation:
             )
         n_disks = self.n_disks
         slots = fragment_ids // n_disks
-        starts = (
-            self._fact_region_pages
-            + bitmap_index * self._bitmap_subregion_pages
-            + slots * self._bitmap_pages
+        base_disks = (
+            (fragment_ids + slots) % n_disks
+            if self._gap
+            else fragment_ids % n_disks
         )
-        bases = (fragment_ids + slots) if self._gap else fragment_ids
-        offset = 1 + bitmap_index if self.staggered else 1
-        return (bases + offset) % n_disks, starts
+        return self._bitmap_rows(
+            base_disks,
+            self._fact_region_pages + slots * self._bitmap_pages,
+            n_bitmaps,
+        )
 
     def bitmap_placement(self, bitmap_index: int, fragment_id: int) -> FragmentPlacement:
         """Disk and page extent of one bitmap fragment.
@@ -272,12 +279,12 @@ class DiskAllocation:
         units: np.ndarray,
         fragments_selected: np.ndarray,
         n_bitmaps: int,
-    ) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """Vectorised :meth:`bitmap_cluster_placement` over many units.
 
         For ``units[g]`` with ``fragments_selected[g]`` selected
-        fragments, returns ``(disks, starts, pages)`` where
-        ``disks[g][bi]`` / ``starts[g][bi]`` locate bitmap ``bi``'s
+        fragments, returns ``(disks, starts, pages)`` where the int64
+        arrays' ``disks[g, bi]`` / ``starts[g, bi]`` locate bitmap ``bi``'s
         packed extent of cluster ``g`` and ``pages[g]`` is its length
         (identical for every bitmap of one cluster).  The element
         operations mirror the scalar method exactly, so placements are
@@ -297,17 +304,25 @@ class DiskAllocation:
             self._bitmap_unit_pages,
         ).tolist()
         slots = units // n_disks
-        start_base = self._fact_region_pages + slots * self._bitmap_unit_pages
         base_disks = (units + slots) % n_disks if self._gap else units % n_disks
-        disks = np.empty((units.size, n_bitmaps), dtype=np.int64)
-        starts = np.empty((units.size, n_bitmaps), dtype=np.int64)
-        for bitmap_index in range(n_bitmaps):
-            offset = 1 + bitmap_index if self.staggered else 1
-            disks[:, bitmap_index] = (base_disks + offset) % n_disks
-            starts[:, bitmap_index] = (
-                start_base + bitmap_index * self._bitmap_subregion_pages
-            )
-        return disks.tolist(), starts.tolist(), pages
+        disks, starts = self._bitmap_rows(
+            base_disks,
+            self._fact_region_pages + slots * self._bitmap_unit_pages,
+            n_bitmaps,
+        )
+        return disks, starts, pages
+
+    def _bitmap_rows(
+        self, base_disks: np.ndarray, start_base: np.ndarray, n_bitmaps: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(disks, starts)`` of bitmaps ``0..n_bitmaps-1``, one row per
+        entry of ``base_disks`` (the fact disk) and ``start_base`` (the
+        slot's start within bitmap subregion 0), by broadcasting."""
+        bitmaps = np.arange(n_bitmaps, dtype=np.int64)
+        offsets = 1 + bitmaps if self.staggered else np.ones_like(bitmaps)
+        disks = (base_disks[:, None] + offsets) % self.n_disks
+        starts = start_base[:, None] + bitmaps * self._bitmap_subregion_pages
+        return disks, starts
 
     def _bitmap_disk(self, unit: int, bitmap_index: int) -> int:
         base = self._unit_disk(unit)

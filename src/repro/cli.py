@@ -67,8 +67,17 @@ def _schema(args: argparse.Namespace):
     return apb1_schema(channels=args.channels, density=args.density)
 
 
+def _input_error(exc: ValueError | KeyError) -> int:
+    """Report a rejected command-line input; exit status 2."""
+    print(f"error: {exc.args[0]}", file=sys.stderr)
+    return 2
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
-    schema = _schema(args)
+    try:
+        schema = _schema(args)
+    except ValueError as exc:
+        return _input_error(exc)
     catalog = IndexCatalog(schema)
     print(schema)
     print(f"fact bytes: {schema.fact_bytes:,}")
@@ -84,7 +93,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_options(args: argparse.Namespace) -> int:
-    schema = _schema(args)
+    try:
+        schema = _schema(args)
+    except ValueError as exc:
+        return _input_error(exc)
     options = sorted(
         enumerate_fragmentations(
             schema,
@@ -106,15 +118,23 @@ def _cmd_options(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    schema = _schema(args)
-    # repro-lint: disable=DET-RNG -- one-shot CLI entry point: the whole
-    # stream derives from --seed and never mixes with simulation state.
-    rng = random.Random(args.seed)
-    query = query_type(args.query).instantiate(schema, rng)
-    fragmentations = [_parse_fragmentation(text) for text in args.fragmentation]
-    if not fragmentations:
+    if not args.fragmentation:
         print("error: pass at least one -f/--fragmentation", file=sys.stderr)
         return 2
+    try:
+        schema = _schema(args)
+        # repro-lint: disable=DET-RNG -- one-shot CLI entry point: the
+        # whole stream derives from --seed and never mixes with
+        # simulation state.
+        rng = random.Random(args.seed)
+        query = query_type(args.query).instantiate(schema, rng)
+        fragmentations = [
+            _parse_fragmentation(text) for text in args.fragmentation
+        ]
+        for fragmentation in fragmentations:
+            fragmentation.validate(schema)
+    except (ValueError, KeyError) as exc:
+        return _input_error(exc)
     reports = compare_fragmentations(query, fragmentations, schema)
     print(f"query: {query}")
     print(format_table(reports))
@@ -122,11 +142,17 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    schema = _schema(args)
-    # repro-lint: disable=DET-RNG -- one-shot CLI entry point: the whole
-    # stream derives from --seed and never mixes with simulation state.
-    rng = random.Random(args.seed)
-    mix = [query_type(name).instantiate(schema, rng) for name in args.queries]
+    try:
+        schema = _schema(args)
+        # repro-lint: disable=DET-RNG -- one-shot CLI entry point: the
+        # whole stream derives from --seed and never mixes with
+        # simulation state.
+        rng = random.Random(args.seed)
+        mix = [
+            query_type(name).instantiate(schema, rng) for name in args.queries
+        ]
+    except ValueError as exc:
+        return _input_error(exc)
     config = AdvisorConfig(
         min_bitmap_fragment_pages=args.min_bitmap_pages,
         max_fragments=args.max_fragments,
@@ -176,8 +202,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.repeat < 1:
             raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _input_error(exc)
     result = simulator.run_repeated(query, args.repeat)
     print(f"query: {query}")
     print(f"fragmentation: {fragmentation}")

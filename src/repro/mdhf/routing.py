@@ -87,23 +87,55 @@ class QueryPlan:
         for coordinate in self.iter_coordinates():
             yield geometry.linear_id(coordinate)
 
-    def fragment_id_array(self, geometry: FragmentGeometry):
-        """Selected fragment ids as an int64 numpy array.
+    def fragment_ids(
+        self, geometry: FragmentGeometry, lo: int = 0, hi: int | None = None
+    ):
+        """Ids of the selected fragments at positions ``lo:hi``.
 
-        Same ids and order as :meth:`iter_fragment_ids`, computed by
-        broadcasting over the axis values instead of per-coordinate
-        arithmetic (the simulator expands plans with millions of
-        selected fragments).
+        An int64 numpy array equal to
+        ``list(self.iter_fragment_ids(geometry))[lo:hi]``.  Each position
+        is decoded in mixed radix over the axes, the last axis fastest
+        (``itertools.product`` order), and each digit picks its axis
+        value's id offset.  The result costs memory for ``hi - lo`` ids,
+        not for every selected fragment (the simulator expands plans
+        with millions of them block by block).
         """
         import numpy as np
 
         if geometry.fragmentation != self.fragmentation:
             raise ValueError("geometry built for a different fragmentation")
-        ids = np.zeros(1, dtype=np.int64)
-        for values, stride in zip(self.axis_values, geometry.strides):
-            axis = np.asarray(values, dtype=np.int64) * stride
-            ids = (ids[:, None] + axis).ravel()
+        shape, offsets = self._axis_offsets(geometry.strides)
+        count = math.prod(shape)
+        if hi is None:
+            hi = count
+        if not 0 <= lo <= hi <= count:
+            raise ValueError(f"positions {lo}:{hi} outside [0, {count}]")
+        digits = np.unravel_index(np.arange(lo, hi), shape)
+        ids = offsets[0][digits[0]]
+        for axis, digit in zip(offsets[1:], digits[1:]):
+            ids += axis[digit]
         return ids
+
+    def _axis_offsets(self, strides: tuple[int, ...]) -> tuple:
+        """``(shape, offsets)``: the number of values per axis, and per
+        axis ``values * stride`` as an int64 numpy array.
+
+        Kept on the plan (outside its fields) for the strides it was
+        last built for, so the blocks of one expansion share it.
+        """
+        import numpy as np
+
+        cached = self.__dict__.get("_axis_offsets_cache")
+        if cached is None or cached[0] != strides:
+            cached = self.__dict__["_axis_offsets_cache"] = (
+                strides,
+                tuple(map(len, self.axis_values)),
+                [
+                    np.asarray(values, dtype=np.int64) * stride
+                    for values, stride in zip(self.axis_values, strides)
+                ],
+            )
+        return cached[1:]
 
 
 def plan_query(

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -183,32 +184,40 @@ def _spread_count_array(rate: float, n: int, start: int = 0) -> np.ndarray:
 #: Selected fragments per block of
 #: :meth:`SimulatedDatabase.iter_subquery_work`: enough that a block's
 #: numpy calls cost little next to its units (at 2,048 the cluster32
-#: expansion ran slower than the whole-plan one inside a simulation),
-#: few enough that its rows stay within a few MiB even with a dozen
-#: bitmap reads per fragment.
+#: expansion ran slower than the whole-plan one inside a simulation;
+#: at 64 the clustered_1store run_rel rose from about 9 to 17), few
+#: enough that one block's arrays stay well under a MiB even with a
+#: dozen bitmap reads per fragment (a 4,096 x 12 int64 array is
+#: 384 KiB).
 _EXPAND_BLOCK = 4096
 
 
 def _expansion_blocks(
-    ids: np.ndarray, cluster_factor: int
+    count: int,
+    fragment_ids: Callable[[int, int], np.ndarray],
+    cluster_factor: int,
 ) -> Iterator[tuple[int, int]]:
-    """``(lo, hi)`` position ranges that split ``ids`` into blocks.
+    """``(lo, hi)`` position ranges that split ``count`` selected
+    fragments into blocks.
 
     A block holds at most ``max(_EXPAND_BLOCK, cluster_factor)``
     fragments and is cut only between clusters (runs of equal
     ``id // cluster_factor``), so no unit straddles two blocks.
+    ``fragment_ids(lo, hi)`` gives the ids at positions ``lo:hi``; a
+    cut reads only the ``cluster_factor + 1`` ids around it.
     """
-    n = ids.size
     step = max(_EXPAND_BLOCK, cluster_factor)
     lo = 0
-    while lo < n:
-        hi = min(lo + step, n)
-        if hi < n and cluster_factor > 1:
+    while lo < count:
+        hi = min(lo + step, count)
+        if hi < count and cluster_factor > 1:
             # Move the cut back to the start of the cluster holding
             # ``hi``.  A cluster spans at most ``cluster_factor``
             # positions, so the window holds that start, and the cut
             # stays past ``lo``.
-            window = ids[hi - cluster_factor : hi + 1] // cluster_factor
+            window = (
+                fragment_ids(hi - cluster_factor, hi + 1) // cluster_factor
+            )
             last_other = int(np.flatnonzero(window != window[-1])[-1])
             hi -= cluster_factor - 1 - last_other
         yield lo, hi
@@ -335,9 +344,13 @@ class SimulatedDatabase:
         into consecutive pages and read as one extent.
 
         The selected fragments are expanded block by block
-        (:func:`_expansion_blocks`), so only one block's rows are alive
-        at a time, however many fragments the plan selects.  Each block
-        runs two steps.
+        (:func:`_expansion_blocks`).  Alive at a time are one block's
+        fragment ids (decoded from their positions by
+        :meth:`~repro.mdhf.routing.QueryPlan.fragment_ids`), its numpy
+        arrays and per-unit value lists, and the units in flight; a
+        unit's bitmap disks and starts become lists only as the unit is
+        emitted.  None of it grows with the number of fragments the
+        plan selects.  Each block runs two steps.
 
         Step 1 gives every fragment its relevant rows and the index of
         its fact extent template, and every template its bitmap extents
@@ -354,9 +367,10 @@ class SimulatedDatabase:
         share one list of :class:`~repro.sim.disk.ExtentTemplate`
         batches, interned by content within one call.
         """
-        ids = plan.fragment_id_array(self.geometry)
-        if not ids.size:
+        count = plan.fragment_count
+        if not count:
             return
+        fragment_ids = partial(plan.fragment_ids, self.geometry)
         params = self.params
         prefetch = params.buffer.prefetch_fact_pages
         n_bitmaps = plan.bitmaps_per_fragment
@@ -467,7 +481,7 @@ class SimulatedDatabase:
 
         def block_rows(lo: int, hi: int) -> Iterator[tuple]:
             """One row of unit values per unit of positions ``lo:hi``."""
-            block = ids[lo:hi]
+            block = fragment_ids(lo, hi)
             # Step 1: per-fragment shape.
             if skew_tuples is None:
                 relevants = _spread_count_array(
@@ -491,18 +505,15 @@ class SimulatedDatabase:
             bitmap_rows = (repeat(empty), repeat(empty))
             if cluster_factor == 1:
                 # A single-fragment unit's layout key is its template
-                # index.  Bitmap placements transpose to one (disks,
-                # starts) row per fragment, so the work units borrow
-                # ready-made rows instead of building one tuple per
-                # bitmap read.
+                # index.  Its bitmap (disks, starts) are one row of the
+                # block's placement arrays, turned into lists only as
+                # the unit is emitted.
                 if n_bitmaps:
-                    located = [
-                        allocation.bitmap_locations(index, block)
-                        for index in range(n_bitmaps)
-                    ]
                     bitmap_rows = [
-                        np.stack(column, axis=1).tolist()
-                        for column in zip(*located)
+                        map(np.ndarray.tolist, rows)
+                        for rows in allocation.bitmap_locations(
+                            block, n_bitmaps
+                        )
                     ]
                 return zip(
                     block.tolist(),
@@ -528,11 +539,12 @@ class SimulatedDatabase:
                 (np.zeros(1, dtype=np.int64), np.cumsum(relevants))
             )
             if n_bitmaps:
-                *bitmap_rows, cluster_pages = (
+                *located, cluster_pages = (
                     allocation.bitmap_cluster_locations(
                         cluster_of[firsts], sizes, n_bitmaps
                     )
                 )
+                bitmap_rows = [map(np.ndarray.tolist, rows) for rows in located]
                 for size, pages in zip(sizes.tolist(), cluster_pages):
                     if size not in cluster_bitmaps:
                         cluster_bitmaps[size] = ([(0, pages)], pages)
@@ -551,7 +563,7 @@ class SimulatedDatabase:
         # ``chain`` drops each block's rows before it builds the next.
         units = chain.from_iterable(
             block_rows(lo, hi)
-            for lo, hi in _expansion_blocks(ids, cluster_factor)
+            for lo, hi in _expansion_blocks(count, fragment_ids, cluster_factor)
         )
         coalesce = params.io_coalesce
         layouts: dict[int | bytes, tuple] = {}

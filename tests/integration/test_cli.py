@@ -17,6 +17,12 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "product(28800)" in out
 
+    def test_invalid_schema_knob_exits_2(self, capsys):
+        assert main(["info", "--channels", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "error: channels must be >= 1" in captured.err
+        assert captured.out == ""
+
 
 class TestOptions:
     def test_enumerates_all(self, capsys):
@@ -28,6 +34,12 @@ class TestOptions:
         assert main(["options", "--min-bitmap-pages", "8"]) == 0
         out = capsys.readouterr().out
         assert "45 fragmentation options" in out
+
+    def test_invalid_schema_knob_exits_2(self, capsys):
+        assert main(["options", "--density", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "error: density must be in (0, 1], got 2.0" in captured.err
+        assert captured.out == ""
 
 
 class TestCost:
@@ -46,6 +58,12 @@ class TestCost:
         assert main(["cost", "1STORE"]) == 2
         assert "at least one" in capsys.readouterr().err
 
+    def test_unknown_fragmentation_attribute_exits_2(self, capsys):
+        assert main(["cost", "1STORE", "-f", "bogus::x"]) == 2
+        captured = capsys.readouterr()
+        assert "error: no dimension 'bogus'" in captured.err
+        assert captured.out == ""
+
 
 class TestAdvise:
     def test_recommends_candidates(self, capsys):
@@ -63,6 +81,12 @@ class TestAdvise:
             "advise", "1MONTH", "--min-bitmap-pages", "1000000000",
         ])
         assert code == 1
+
+    def test_unknown_query_type_exits_2(self, capsys):
+        assert main(["advise", "NOPE"]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot parse query type 'NOPE'" in captured.err
+        assert captured.out == ""
 
 
 class TestSimulate:

@@ -124,6 +124,22 @@ class TestPlanGeometry:
         plan = plan_query(q(("time::month", 0)), f_month_group, apb1, apb1_catalog)
         with pytest.raises(ValueError, match="different fragmentation"):
             list(plan.iter_fragment_ids(geometry))
+        with pytest.raises(ValueError, match="different fragmentation"):
+            plan.fragment_ids(geometry)
+
+    def test_fragment_ids_by_position(self, apb1, f_month_group, apb1_catalog):
+        geometry = FragmentGeometry(apb1, f_month_group)
+        plan = plan_query(q(("product::group", 2, 3), ("time::quarter", 0)),
+                          f_month_group, apb1, apb1_catalog)
+        assert plan.fragment_ids(geometry).tolist() == [
+            2, 3, 482, 483, 962, 963
+        ]
+        # Positions 1:3 straddle the carry from month 0 to month 1.
+        assert plan.fragment_ids(geometry, 1, 3).tolist() == [3, 482]
+        assert plan.fragment_ids(geometry, 4, 4).tolist() == []
+        for lo, hi in [(-1, 2), (3, 2), (0, 7)]:
+            with pytest.raises(ValueError, match="outside"):
+                plan.fragment_ids(geometry, lo, hi)
 
     def test_hits_per_fragment(self, apb1, f_month_group, apb1_catalog):
         plan = plan_query(q(("customer::store", 7)), f_month_group, apb1, apb1_catalog)

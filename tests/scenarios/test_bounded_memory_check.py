@@ -3,7 +3,8 @@
 ``benchmarks/check_bounded_memory.py`` measures one serial open-system
 run per (retention, session count).  These tests drive it at tiny
 session counts, where tracing costs milliseconds, to pin what the
-script reports and which inputs it refuses.
+script reports and which inputs it refuses.  The ``--expansion``
+bounds are checked on given peaks, without draining the plans.
 """
 
 from __future__ import annotations
@@ -82,3 +83,31 @@ def test_report_holds_memory_figures_only(script, tmp_path, capsys):
         "scale_ratio", "bounded_peak_growth", "max_allowed_growth",
         "measurements", "full_peak_growth",
     }
+
+
+def _expansion(run_id, peak):
+    return {"run_id": run_id, "traced_peak_mib": peak}
+
+
+@pytest.mark.parametrize("peaks, failing", [
+    ((0.6, 1.3, 1.4), []),
+    ((3.2, 1.3, 1.4), ["cluster32 expansion peaked at 3.20 MiB"]),
+    ((0.6, 1.3, 1.7), ["1.31x the class_deg100 one"]),
+    ((0.6, 4.2, 6.7), [
+        "class_deg100 expansion peaked at 4.20 MiB",
+        "code_deg100 expansion peaked at 6.70 MiB",
+        "1.60x the class_deg100 one",
+    ]),
+])
+def test_expansion_bounds(script, peaks, failing):
+    """Every plan is held to the absolute bound, and the plan with 15x
+    the fragments to the ratio bound over the smaller one."""
+    run_ids = [run_id for _scenario, run_id in script.EXPANSION_PLANS]
+    assert run_ids == ["cluster32", "class_deg100", "code_deg100"]
+    ratio, failures = script.judge_expansion(
+        [_expansion(*pair) for pair in zip(run_ids, peaks)]
+    )
+    assert ratio == pytest.approx(peaks[2] / peaks[1])
+    assert len(failures) == len(failing)
+    for failure, fragment in zip(failures, failing):
+        assert fragment in failure

@@ -428,7 +428,7 @@ def _reference_units(database, plan):
     tuples_per_page = database._tuples_per_page
     skew = database._skew_tuples
     n_bitmaps = plan.bitmaps_per_fragment
-    ids = plan.fragment_id_array(database.geometry).tolist()
+    ids = plan.fragment_ids(database.geometry).tolist()
 
     fragment_pages = database.fact_pages_per_fragment
     granules = math.ceil(fragment_pages / prefetch)
@@ -625,6 +625,38 @@ class TestClusteredExpansionReference:
         assert plan.bitmaps_per_fragment == 2
         _assert_matches_reference(database, plan)
 
+    @pytest.mark.parametrize("staggered", [True, False])
+    @pytest.mark.parametrize("scheme", ["round_robin", "gap"])
+    def test_unclustered_bitmap_rows_are_int_lists(self, staggered, scheme):
+        """Unclustered units get their bitmap rows from the block's
+        placement arrays one row at a time; each must still be a plain
+        ``list`` of Python ``int`` at every bitmap's scalar placement."""
+        schema, database = _reference_database(
+            ("customer::retailer", "channel::channel"),
+            allocation_scheme=scheme,
+        )
+        database = SimulatedDatabase(
+            schema, database.fragmentation, database.params,
+            staggered=staggered,
+        )
+        query = query_type("1MONTH1GROUP").instantiate(
+            schema, random.Random(0)
+        )
+        plan = database.plan(query)
+        n_bitmaps = plan.bitmaps_per_fragment
+        assert n_bitmaps == 2
+        allocation = database.allocation
+        works = list(database.iter_subquery_work(plan))
+        assert len(works) == plan.fragment_count > 1
+        for work in works:
+            for row in (work.bitmap_disks, work.bitmap_starts):
+                assert type(row) is list
+                assert all(type(value) is int for value in row)
+            assert list(zip(work.bitmap_disks, work.bitmap_starts)) == [
+                allocation.bitmap_location(k, work.fragment_id)
+                for k in range(n_bitmaps)
+            ]
+
 
 class TestMultiPageBitmapReference:
     """512-byte pages and a one-page bitmap granule: every bitmap
@@ -689,7 +721,7 @@ class TestSkewedExpansionReference:
         )
         query = query_type("1CODE").instantiate(schema, random.Random(0))
         plan = database.plan(query)
-        ids = plan.fragment_id_array(database.geometry)
+        ids = plan.fragment_ids(database.geometry)
         works = list(database.iter_subquery_work(plan))
         empty = [
             work for work, population in zip(works, database._skew_tuples[ids])

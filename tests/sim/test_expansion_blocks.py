@@ -1,8 +1,9 @@
 """Block-wise work expansion is invisible in the units it yields.
 
 ``SimulatedDatabase.iter_subquery_work`` expands the selected fragments
-in blocks of ``_EXPAND_BLOCK`` (cut only between clusters), so that one
-block's rows are alive at a time.  Shrinking the block to one, three or
+in blocks of ``_EXPAND_BLOCK`` (cut only between clusters), decoding
+each block's fragment ids from their positions, so that one block's
+rows are alive at a time.  Shrinking the block to one, three or
 64 fragments must not change a single field of a single unit: the
 units equal the default expansion and the per-fragment reference of
 ``test_clustered_fastpath``, and equal layouts still share one batch
@@ -10,6 +11,7 @@ list across blocks.
 """
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -100,12 +102,16 @@ def test_cases_cover_the_block_edges(monkeypatch):
     cut_back = False
     for case_id in ("clustered", "clustered_partial_no_bitmaps"):
         database, plan = _case(*by_id[case_id])
-        ids = plan.fragment_id_array(database.geometry)
+        fragment_ids = partial(plan.fragment_ids, database.geometry)
         cluster_factor = database.params.cluster_factor
         for block in BLOCKS:
             step = max(block, cluster_factor)
             monkeypatch.setattr(database_module, "_EXPAND_BLOCK", block)
-            ranges = list(_expansion_blocks(ids, cluster_factor))
+            ranges = list(
+                _expansion_blocks(
+                    plan.fragment_count, fragment_ids, cluster_factor
+                )
+            )
             assert len(ranges) > 1
             cut_back |= any(hi - lo < step for lo, hi in ranges[:-1])
     assert cut_back
@@ -132,8 +138,17 @@ def test_blocks_tile_positions_and_keep_clusters_whole(
     # selected and of uneven length.
     rng = np.random.default_rng(block * 10 + cluster_factor)
     ids = np.flatnonzero(rng.random(400) < 0.6).astype(np.int64)
+    reads = []
+
+    def fragment_ids(lo, hi):
+        reads.append(hi - lo)
+        return ids[lo:hi]
+
     monkeypatch.setattr(database_module, "_EXPAND_BLOCK", block)
-    ranges = list(_expansion_blocks(ids, cluster_factor))
+    ranges = list(_expansion_blocks(ids.size, fragment_ids, cluster_factor))
+    # A cut reads only the ids around it, never a whole block.
+    assert all(read == cluster_factor + 1 for read in reads)
+    assert len(reads) == (len(ranges) - 1 if cluster_factor > 1 else 0)
     assert ranges[0][0] == 0 and ranges[-1][1] == ids.size
     assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
     step = max(block, cluster_factor)
