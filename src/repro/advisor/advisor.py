@@ -25,7 +25,11 @@ from repro.mdhf.elimination import eliminate_bitmaps
 from repro.mdhf.query import StarQuery
 from repro.mdhf.routing import plan_query
 from repro.mdhf.spec import Fragmentation
-from repro.mdhf.thresholds import enumerate_fragmentations
+from repro.mdhf.thresholds import (
+    check_count,
+    check_page_threshold,
+    enumerate_fragmentations,
+)
 from repro.schema.fact import StarSchema
 
 
@@ -46,6 +50,14 @@ class AdvisorConfig:
     #: Restrict candidate dimensions to those the query mix references.
     restrict_to_query_dimensions: bool = True
     io_params: IOCostParameters = field(default_factory=IOCostParameters)
+
+    def __post_init__(self) -> None:
+        check_count("page_size", self.page_size)
+        check_page_threshold(
+            "min_bitmap_fragment_pages", self.min_bitmap_fragment_pages
+        )
+        for name in ("max_fragments", "max_bitmaps", "min_fragments"):
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

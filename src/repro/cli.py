@@ -73,6 +73,12 @@ def _input_error(exc: ValueError | KeyError) -> int:
     return 2
 
 
+def _check_limit(limit: int) -> None:
+    """Reject a negative ``--limit``, which would slice from the end."""
+    if limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {limit}")
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     try:
         schema = _schema(args)
@@ -95,16 +101,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_options(args: argparse.Namespace) -> int:
     try:
         schema = _schema(args)
-    except ValueError as exc:
-        return _input_error(exc)
-    options = sorted(
-        enumerate_fragmentations(
+        _check_limit(args.limit)
+        options = enumerate_fragmentations(
             schema,
             min_bitmap_pages=args.min_bitmap_pages,
             max_fragments=args.max_fragments,
-        ),
-        key=lambda option: option.fragment_count,
-    )
+        )
+    except ValueError as exc:
+        return _input_error(exc)
+    options = sorted(options, key=lambda option: option.fragment_count)
     print(f"{len(options)} fragmentation options")
     for option in options[: args.limit]:
         print(
@@ -151,14 +156,15 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         mix = [
             query_type(name).instantiate(schema, rng) for name in args.queries
         ]
+        _check_limit(args.limit)
+        config = AdvisorConfig(
+            min_bitmap_fragment_pages=args.min_bitmap_pages,
+            max_fragments=args.max_fragments,
+            min_fragments=args.min_fragments,
+            restrict_to_query_dimensions=not args.all_dimensions,
+        )
     except ValueError as exc:
         return _input_error(exc)
-    config = AdvisorConfig(
-        min_bitmap_fragment_pages=args.min_bitmap_pages,
-        max_fragments=args.max_fragments,
-        min_fragments=args.min_fragments,
-        restrict_to_query_dimensions=not args.all_dimensions,
-    )
     report = recommend_fragmentation(schema, mix, config)
     print(
         f"{report.options_total} options, "

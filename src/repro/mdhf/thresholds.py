@@ -14,6 +14,7 @@ various minimum bitmap-fragment sizes (Table 2).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,6 +45,20 @@ class FragmentationOption:
         return self.fragmentation.dimensionality
 
 
+def check_count(name: str, value: int | None) -> None:
+    """Reject a count knob below 1, naming it; ``None`` (unset) passes."""
+    if value is not None and not value >= 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def check_page_threshold(name: str, value: float) -> None:
+    """Reject a non-finite or negative page threshold, naming it."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"{name} must be finite and non-negative, got {value!r}"
+        )
+
+
 def enumerate_fragmentations(
     schema: StarSchema,
     page_size: int = 4096,
@@ -51,7 +66,7 @@ def enumerate_fragmentations(
     max_fragments: int | None = None,
     dimensions: Sequence[str] | None = None,
 ) -> Iterator[FragmentationOption]:
-    """Yield every point fragmentation satisfying the given constraints.
+    """Every point fragmentation satisfying the given constraints, lazily.
 
     Options combine one hierarchy level from any non-empty subset of the
     (given) dimensions: 167 in total for APB-1.  Filters:
@@ -61,7 +76,26 @@ def enumerate_fragmentations(
             is at least this many pages (Table 2 uses 1, 4, 8).
         max_fragments: Optional cap on the fragment count (administration
             threshold).
+
+    A bad knob raises ``ValueError`` here, at the call, not at the
+    iterator's first ``next()``.
     """
+    check_count("page_size", page_size)
+    check_page_threshold("min_bitmap_pages", min_bitmap_pages)
+    check_count("max_fragments", max_fragments)
+    return _options(
+        schema, page_size, min_bitmap_pages, max_fragments, dimensions
+    )
+
+
+def _options(
+    schema: StarSchema,
+    page_size: int,
+    min_bitmap_pages: float,
+    max_fragments: int | None,
+    dimensions: Sequence[str] | None,
+) -> Iterator[FragmentationOption]:
+    """The generator behind :func:`enumerate_fragmentations`."""
     dim_names = list(dimensions) if dimensions else list(schema.dimension_names())
     per_dim_choices: list[list[str | None]] = []
     for name in dim_names:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable
 
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.resources import FifoServer
 
 
@@ -30,18 +30,14 @@ class ProcessingNode(FifoServer):
         self.instructions = 0
 
     def compute(
-        self,
-        instructions: float,
-        resume: Callable[[Any], Any] | None = None,
-    ) -> Event | None:
-        """Execute ``instructions`` on this node's CPU (FIFO-queued).
+        self, instructions: float, resume: Callable[[Any], Any]
+    ) -> None:
+        """Execute ``instructions`` on this node's CPU (FIFO-queued);
+        the completion wakes ``resume``.
 
-        Returns the completion event, or ``None`` when the caller passes
-        a ``resume`` callable to be woken with instead.  The burst is
-        pre-priced (a CPU's service time does not depend on the moment
-        service starts) and non-negative, so this inlines the float
-        fast path of :meth:`FifoServer.submit` without a closure or
-        re-validation per request.
+        The burst is pre-priced (a CPU's service time does not depend
+        on the moment service starts) and non-negative, so this inlines
+        :meth:`FifoServer.submit` without re-validating the duration.
         """
         # Bursts are mostly ints, and a chained ``0.0 <= x < inf`` test
         # of an int costs two mixed-type compares per burst.  ``int()``
@@ -58,18 +54,13 @@ class ProcessingNode(FifoServer):
             ) from None
         duration = instructions / self._per_second
         env = self.env
-        if resume is None:
-            waiter = done = Event(env)
-        else:
-            waiter, done = resume, None
         if self._busy:
-            self._queue.append((duration, waiter, None, env._now))
+            self._queue.append((duration, resume, None, env._now))
         else:
             self._busy = True
             env._seq = seq = env._seq + 1
             heappush(
                 env._heap,
                 (env._now + duration, seq, self._complete_cb,
-                 (waiter, None, duration)),
+                 (resume, None, duration)),
             )
-        return done

@@ -43,7 +43,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.sim.config import DiskParameters
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 from repro.sim.resources import FifoServer
 
 #: E[sqrt(|x-y|)] for independent uniform x, y on [0, 1].
@@ -128,12 +128,11 @@ class Disk(FifoServer):
             return 0.0
         return self._max_seek_s * math.sqrt(distance / self._total_tracks)
 
-    def read(self, start_page: int, n_pages: int) -> Event:
-        """Read one extent; completes when the transfer finishes."""
-        return self.read_extents([(start_page, n_pages)])
-
-    def read_extents(self, extents: Sequence[tuple[int, int]]) -> Event:
-        """Read several extents in one request (coalesced granules).
+    def read_extents(
+        self, extents: Sequence[tuple[int, int]], resume: Callable[[Any], Any]
+    ) -> None:
+        """Read several extents in one request (coalesced granules);
+        the completion wakes ``resume``.
 
         Extents are validated here, at the call site, so a malformed
         request fails in the caller's stack frame instead of mid-event
@@ -152,39 +151,33 @@ class Disk(FifoServer):
                     f"pages [0, capacity_pages={capacity})"
                 )
             total_pages += n_pages
-        return self.read_validated(list(extents), total_pages)
+        self.read_validated(list(extents), total_pages, 0, resume)
 
     def read_validated(
         self,
         extents: list[tuple[int, int]],
         total_pages: int,
-        base: int = 0,
-        resume: Callable[[Any], Any] | None = None,
-    ) -> Event | None:
+        base: int,
+        resume: Callable[[Any], Any],
+    ) -> None:
         """Trusted :meth:`read_extents`: extents prechecked, pages presummed.
 
         For callers (the subquery scheduler) that construct the extent
         list themselves and already track its page sum.  ``extents`` may
-        be offsets against ``base`` (shared extent templates).  Returns
-        the completion event, or ``None`` when the caller passes a
-        ``resume`` callable to be woken with instead.  Queued
-        requests use the flat ``(extents, waiter, total_pages, enqueued,
+        be offsets against ``base`` (shared extent templates).  The
+        completion wakes ``resume`` with ``total_pages``.  Queued
+        requests use the flat ``(extents, resume, total_pages, enqueued,
         base)`` form that :meth:`_complete` hands straight to
         :meth:`_service` — no closure and no nested service tuple per
-        request.  This inlines
-        :meth:`FifoServer.submit` for the idle-server case (service
-        times are sums of seek, settle and transfer components, which
-        :class:`DiskParameters` validates as finite and non-negative,
-        so the negativity check of the generic path is vacuous here).
+        request.  Service times are sums of seek, settle and transfer
+        components, which :class:`DiskParameters` validates as finite
+        and non-negative, so the duration check of
+        :meth:`FifoServer.submit` is vacuous here.
         """
         env = self.env
-        if resume is None:
-            waiter = done = Event(env)
-        else:
-            waiter, done = resume, None
         if self._busy:
             self._queue.append(
-                (extents, waiter, total_pages, env._now, base)
+                (extents, resume, total_pages, env._now, base)
             )
         else:
             self._busy = True
@@ -193,40 +186,35 @@ class Disk(FifoServer):
             heappush(
                 env._heap,
                 (env._now + duration, seq, self._complete_cb,
-                 (waiter, total_pages, duration)),
+                 (resume, total_pages, duration)),
             )
-        return done
 
     def read_batch(
         self,
         requests: list[tuple[list, int, int]],
-        resume: Callable[[Any], Any] | None = None,
-    ) -> Event | None:
-        """Several reads submitted back-to-back, fused into one event.
+        resume: Callable[[Any], Any],
+    ) -> None:
+        """Several reads submitted back-to-back, fused into one
+        completion that wakes ``resume``.
 
         ``requests`` is a list of ``(extents, total_pages, base)``
         triples (the :meth:`read_validated` argument forms).  On a FIFO
         disk, requests submitted consecutively with no intervening
         event are provably served back-to-back — later arrivals queue
-        behind the whole batch — so the per-request completion events
-        carry no information beyond the last one.  The fusion replays
-        the per-request accounting *exactly* (chained float completion
+        behind the whole batch — so the per-request completions carry
+        no information beyond the last one.  The fusion replays the
+        per-request accounting *exactly* (chained float completion
         times, per-request pricing order against the moving head,
         per-request ``queue_time``/``busy_time`` accumulator additions)
-        and triggers one completion event at the last request's
-        completion instant.  Only ``event_count`` differs from issuing
-        the requests individually.  With a ``resume`` callable the
-        completion wakes it instead, and this returns ``None``.
+        and wakes ``resume`` once, at the last request's completion
+        instant, with the batch's page total.  Only ``event_count``
+        differs from issuing the requests individually.
         """
         env = self.env
-        if resume is None:
-            waiter = done = Event(env)
-        else:
-            waiter, done = resume, None
         if self._busy:
             # 3-tuple batch form; _complete dispatches queue entries on
             # their length (5 = flat single read, 4 = generic submit).
-            self._queue.append((requests, waiter, env._now))
+            self._queue.append((requests, resume, env._now))
         else:
             self._busy = True
             end, durations, pages = self._price_batch(
@@ -235,9 +223,8 @@ class Disk(FifoServer):
             env._seq = seq = env._seq + 1
             heappush(
                 env._heap,
-                (end, seq, self._complete_cb, (waiter, pages, durations)),
+                (end, seq, self._complete_cb, (resume, pages, durations)),
             )
-        return done
 
     def _price_batch(
         self,
@@ -279,14 +266,13 @@ class Disk(FifoServer):
         direct :meth:`_service` call (the hot case on saturated disks;
         inlining the single-extent pricing here measured no faster on
         ``monthclass_1store``); 4-tuples from the generic
-        :meth:`FifoServer.submit` fall back to
-        :meth:`FifoServer._price`.  Service times from :meth:`_service`
-        are sums of seek, settle and transfer components, which
-        :class:`DiskParameters` validates as finite and non-negative,
-        so the generic negativity check is vacuous for them.
+        :meth:`FifoServer.submit` carry a duration validated at submit.
+        Service times from :meth:`_service` are sums of seek, settle
+        and transfer components, which :class:`DiskParameters`
+        validates as finite and non-negative.
         """
         waiter, value, duration = entry
-        if duration.__class__ is float:
+        if duration.__class__ is not list:
             self.busy_time += duration
             self.request_count += 1
         else:
@@ -312,11 +298,8 @@ class Disk(FifoServer):
                     requests, env._now, enqueued, True
                 )
             else:
-                service, next_waiter, next_value, enqueued = next_entry
+                next_duration, next_waiter, next_value, enqueued = next_entry
                 self.queue_time += env._now - enqueued
-                next_duration = self._price(service)
-                if not (0.0 <= next_duration < math.inf):
-                    self._reject(next_duration)
                 time = env._now + next_duration
             env._seq = seq = env._seq + 1
             heappush(

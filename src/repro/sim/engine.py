@@ -25,9 +25,10 @@ stateful equivalence harness, tests/properties/).  Server completions
 and network hops end in :meth:`Environment._deliver` instead: waking
 the request's waiter is the dispatched callback's *final* action, which
 makes running a sole waiter immediately indistinguishable from
-dispatching it next.  A waiter is a fresh :class:`Event` or a plain
-resume callable that a self-driven body (the scheduler's subqueries)
-hands to its requests instead of yielding an Event.
+dispatching it next.  Every server request takes such a waiter: a
+resume callable, either a self-driven body's own ``send`` (the
+scheduler's subqueries) or a :class:`Process`'s resume that its body
+hands over before parking (the coordinator).
 
 The ready-deque path counts into ``Environment.event_count`` exactly
 as if the callback had travelled through the heap, so event statistics
@@ -257,29 +258,19 @@ class Environment:
         else:
             _reject_delay(delay)
 
-    def _deliver(self, waiter: Any, value: Any = None) -> None:
-        """Wake a completed request's ``waiter`` with ``value``.
+    def _deliver(
+        self, waiter: Callable[[Any], None], value: Any = None
+    ) -> None:
+        """Wake a completed request's resume callable ``waiter`` with
+        ``value``.
 
         The one completion tail of the servers and network hops; it
-        must be the dispatched callback's final action.  ``waiter`` is a
-        fresh :class:`Event` (its ``succeed`` inlined) or a resume
-        callable.  A sole waiter runs inline, counted as one event,
-        when the ready deque is empty and the heap head lies strictly
-        later: exactly when its ready-deque hop would be the next
-        dispatch.  Otherwise it takes that hop, with a fresh ``seq``.
+        must be the dispatched callback's final action.  The waiter
+        runs inline, counted as one event, when the ready deque is
+        empty and the heap head lies strictly later: exactly when its
+        ready-deque hop would be the next dispatch.  Otherwise it takes
+        that hop, with a fresh ``seq``.
         """
-        if waiter.__class__ is Event:
-            waiter.triggered = True
-            waiter.value = value
-            callbacks = waiter.callbacks
-            if callbacks is None:
-                return
-            waiter.callbacks = None
-            if callbacks.__class__ is list:
-                for callback in callbacks:
-                    self._schedule(0.0, callback, value)
-                return
-            waiter = callbacks
         heap = self._heap
         if not self._ready and (not heap or heap[0][0] > self._now):
             self.event_count += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.sim.config import CpuCosts, NetworkParameters
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 
 
 class Network:
@@ -34,27 +34,18 @@ class Network:
         return n_bytes * 8.0 / self.params.bandwidth_bits_per_s
 
     def transfer(
-        self,
-        n_bytes: int,
-        seconds: float | None = None,
-        resume: Callable[[Any], Any] | None = None,
-    ) -> Event | None:
-        """An event triggering after the wire delay of one message.
+        self, n_bytes: int, seconds: float, resume: Callable[[Any], Any]
+    ) -> None:
+        """Send one message; ``resume`` wakes after its wire delay.
 
-        ``seconds`` may carry the precomputed :meth:`transfer_seconds`
-        of ``n_bytes`` — hot callers sending fixed-size control messages
-        price the delay once instead of per message.  With a ``resume``
-        callable the hop is one timed entry that wakes it (through the
-        servers' completion tail) instead, and this returns ``None``.
+        ``seconds`` is the message's :meth:`transfer_seconds`, which hot
+        callers sending fixed-size control messages price once instead
+        of per message.  The hop is one timed entry that wakes
+        ``resume`` through the servers' completion tail.
         """
         self.messages_sent += 1
         self.bytes_sent += n_bytes
-        if seconds is None:
-            seconds = self.transfer_seconds(n_bytes)
-        if resume is None:
-            return self.env.timeout(seconds)
         self.env._schedule(seconds, self._deliver, resume)
-        return None
 
 
 def send_instructions(costs: CpuCosts, n_bytes: int) -> int:

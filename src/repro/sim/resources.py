@@ -2,10 +2,8 @@
 
 Processors and disks "are explicitly modeled as servers to realistically
 capture access conflicts and delays" (Section 5).  A request joins the
-queue; its service time is computed when service *starts* (disks need
-the head position at that moment), and its completion wakes the
-request's *waiter* with the request's value.  A waiter is a fresh
-:class:`~repro.sim.engine.Event` or a resume callable (see
+queue with its service time and a resume callable; its completion
+wakes that callable with the request's value (see
 :meth:`~repro.sim.engine.Environment._deliver`).
 
 Accounting rules:
@@ -17,9 +15,10 @@ Accounting rules:
   and single, completion order equals start order, so the accrual order
   (and thus the floating-point sum) is unchanged by this rule.
 
-``service`` may be a callable priced at service start (disks) or a
-plain float for pre-priced requests (CPU bursts) — the float form
-avoids a closure per request on the hot path.
+:meth:`FifoServer.submit` takes a pre-priced duration, validated at
+submit in the caller's frame.  Disks price their own reads at service
+start instead, because a seek depends on where the head is then
+(:class:`~repro.sim.disk.Disk`).
 """
 
 from __future__ import annotations
@@ -29,14 +28,14 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable
 
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
 
 #: Tolerance for the utilization sanity check (float accumulation).
 _UTILIZATION_SLACK = 1e-9
 
 
 class FifoServer:
-    """A single server with a FIFO queue and start-time service pricing."""
+    """A single server with a FIFO queue."""
 
     __slots__ = (
         "env",
@@ -56,19 +55,15 @@ class FifoServer:
         #: ``self._complete`` would allocate a fresh bound method per
         #: request on the hot path.
         self._complete_cb = self._complete
-        #: Waiting requests: (service, waiter, value, enqueue_time).
+        #: Waiting requests: (duration, resume, value, enqueue_time).
         self._queue: deque[
-            tuple[Callable[[], float] | float, Any, Any, float]
+            tuple[float, Callable[[Any], Any], Any, float]
         ] = deque()
         self._busy = False
         # Statistics
         self.busy_time = 0.0
         self.request_count = 0
         self.queue_time = 0.0
-
-    def _price(self, service: Callable[[], float] | float) -> float:
-        """Service duration of a request reaching the server."""
-        return service() if callable(service) else service
 
     def _reject(self, duration: float) -> None:
         """Refuse a service time outside ``[0, inf)``.
@@ -82,22 +77,21 @@ class FifoServer:
         )
 
     def submit(
-        self, service: Callable[[], float] | float, value: Any = None
-    ) -> Event:
-        """Enqueue a request; returns its completion event.
+        self, duration: float, resume: Callable[[Any], Any], value: Any = None
+    ) -> None:
+        """Enqueue a request of ``duration`` seconds; its completion
+        wakes ``resume`` with ``value``.
 
-        ``service`` is priced by :meth:`_price` when the request reaches
-        the server: a float is taken verbatim, a callable is invoked.
+        The duration is checked here, in the caller's frame, so a bad
+        one never reaches the queue, idle server or busy.
         """
+        if not (0.0 <= duration < math.inf):
+            self._reject(duration)
         env = self.env
-        done = Event(env)
         if self._busy:
-            self._queue.append((service, done, value, env._now))
+            self._queue.append((duration, resume, value, env._now))
         else:
             self._busy = True
-            duration = self._price(service)
-            if not (0.0 <= duration < math.inf):
-                self._reject(duration)
             # Scheduling inlined (hot path): a zero-duration completion
             # lands on the heap at (now, seq), which the dispatch merge
             # orders exactly like the ready deque would.
@@ -105,9 +99,8 @@ class FifoServer:
             heappush(
                 env._heap,
                 (env._now + duration, seq, self._complete_cb,
-                 (done, value, duration)),
+                 (resume, value, duration)),
             )
-        return done
 
     def _complete(self, entry: tuple[Any, Any, float]) -> None:
         waiter, value, duration = entry
@@ -116,17 +109,10 @@ class FifoServer:
         queue = self._queue
         env = self.env
         if queue:
-            service, next_waiter, next_value, enqueued = queue.popleft()
-            self.queue_time += env._now - enqueued
-            # Pre-priced floats (CPU bursts, the hot case) skip the
-            # _price indirection.
-            next_duration = (
-                service
-                if service.__class__ is float
-                else self._price(service)
+            next_duration, next_waiter, next_value, enqueued = (
+                queue.popleft()
             )
-            if not (0.0 <= next_duration < math.inf):
-                self._reject(next_duration)
+            self.queue_time += env._now - enqueued
             env._seq = seq = env._seq + 1
             heappush(
                 env._heap,

@@ -25,7 +25,7 @@ from repro.sim.buffer import BufferManager
 from repro.sim.config import SimulationParameters
 from repro.sim.cpu import ProcessingNode
 from repro.sim.database import SubqueryWork
-from repro.sim.engine import Environment, Event, Process
+from repro.sim.engine import Environment, Process
 from repro.sim.network import Network, receive_instructions, send_instructions
 
 
@@ -65,8 +65,8 @@ class QueryExecutor:
         env: Environment,
         work: Iterable[SubqueryWork],
         nodes: list[ProcessingNode],
-        disk_reads: list[Callable[..., Event | None]],
-        disk_batches: list[Callable[..., Event | None]],
+        disk_reads: list[Callable[..., None]],
+        disk_batches: list[Callable[..., None]],
         network: Network,
         buffers: list[BufferManager],
         rng: random.Random,
@@ -126,7 +126,8 @@ class QueryExecutor:
         """The coordinator process: schedule subqueries, gather results.
 
         Run it through :meth:`start`: it hands its process's resume to
-        its per-subquery send bursts and parks (yields ``None``) on them.
+        each of its CPU bursts and parks (yields ``None``) on them, as a
+        subquery does.
         """
         resume = self._resume
         costs = self.params.cpu_costs
@@ -134,7 +135,8 @@ class QueryExecutor:
         t = self.params.hardware.subqueries_per_node
         n_nodes = len(self.nodes)
 
-        yield self._coordinator.compute(costs.initiate_query)
+        self._coordinator.compute(costs.initiate_query, resume)
+        yield
 
         # Coordination occupies one task slot on the coordinator node.
         self._slots_free = [t] * n_nodes
@@ -171,7 +173,8 @@ class QueryExecutor:
             self._wake = resume
             yield
 
-        yield self._coordinator.compute(costs.terminate_query)
+        self._coordinator.compute(costs.terminate_query, resume)
+        yield
 
     def _find_free(self, cursor: int, n_nodes: int) -> int:
         """First node with a free slot, round robin from ``cursor``.
@@ -295,7 +298,7 @@ class QueryExecutor:
                             disk_batch[disk_id](requests, resume)
                     # Countdown join: one resume per completed group,
                     # then the join's own zero-delay hop (as a joined
-                    # Event's succeed would schedule it).
+                    # AllOf's succeed would schedule it).
                     for _group in groups:
                         yield
                     env._schedule(0.0, resume, None)

@@ -1,6 +1,8 @@
 """The Section 4.7 guideline tool."""
 
+import math
 import random
+import re
 
 import pytest
 
@@ -112,3 +114,35 @@ class TestValidation:
         assert report.candidates == ()
         with pytest.raises(ValueError):
             report.best
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("page_size", 0, "page_size must be >= 1, got 0"),
+            (
+                "min_bitmap_fragment_pages", -2.0,
+                "min_bitmap_fragment_pages must be finite and "
+                "non-negative, got -2.0",
+            ),
+            ("min_bitmap_fragment_pages", math.nan, "got nan"),
+            ("min_bitmap_fragment_pages", math.inf, "got inf"),
+            ("max_fragments", 0, "max_fragments must be >= 1, got 0"),
+            ("max_bitmaps", -1, "max_bitmaps must be >= 1, got -1"),
+            ("min_fragments", -5, "min_fragments must be >= 1, got -5"),
+        ],
+    )
+    def test_bad_threshold_rejected_by_name(self, knob, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AdvisorConfig(**{knob: value})
+
+    def test_boundary_values_accepted(self):
+        config = AdvisorConfig(
+            page_size=1,
+            min_bitmap_fragment_pages=0.0,
+            max_fragments=1,
+            max_bitmaps=1,
+            min_fragments=1,
+        )
+        assert config.min_fragments == 1

@@ -41,6 +41,28 @@ class TestOptions:
         assert "error: density must be in (0, 1], got 2.0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--min-bitmap-pages", "-1", "--max-fragments", "-5"],
+                "min_bitmap_pages must be finite and non-negative, "
+                "got -1.0",
+            ),
+            (["--min-bitmap-pages", "nan"], "min_bitmap_pages"),
+            (["--max-fragments", "0"], "max_fragments must be >= 1, got 0"),
+            (["--limit", "-1"], "--limit must be >= 0, got -1"),
+        ],
+    )
+    def test_invalid_thresholds_exit_2_naming_the_knob(
+        self, capsys, extra, message
+    ):
+        assert main(["options"] + extra) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCost:
     def test_table3_style_output(self, capsys):
@@ -81,6 +103,28 @@ class TestAdvise:
             "advise", "1MONTH", "--min-bitmap-pages", "1000000000",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--min-fragments", "-5", "--min-bitmap-pages", "-2"],
+                "min_bitmap_fragment_pages must be finite and "
+                "non-negative, got -2.0",
+            ),
+            (["--min-fragments", "-5"], "min_fragments must be >= 1, got -5"),
+            (["--max-fragments", "0"], "max_fragments must be >= 1, got 0"),
+            (["--limit", "-1"], "--limit must be >= 0, got -1"),
+        ],
+    )
+    def test_invalid_thresholds_exit_2_naming_the_knob(
+        self, capsys, extra, message
+    ):
+        assert main(["advise", "1STORE"] + extra) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_unknown_query_type_exits_2(self, capsys):
         assert main(["advise", "NOPE"]) == 2

@@ -1,6 +1,7 @@
 """Bitmap elimination (Section 4.2) and thresholds/Table 2 (Section 4.4)."""
 
 import math
+import re
 
 import pytest
 
@@ -139,6 +140,27 @@ class TestTable2:
             o.fragment_count == 11_520 and o.dimensionality == 2
             for o in options
         )
+
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("page_size", 0, "page_size must be >= 1, got 0"),
+            (
+                "min_bitmap_pages", -1.0,
+                "min_bitmap_pages must be finite and non-negative, got -1.0",
+            ),
+            ("min_bitmap_pages", math.nan, "min_bitmap_pages"),
+            ("min_bitmap_pages", math.inf, "min_bitmap_pages"),
+            ("max_fragments", -5, "max_fragments must be >= 1, got -5"),
+        ],
+    )
+    def test_bad_threshold_rejected_at_the_call(
+        self, apb1, knob, value, message
+    ):
+        # Raised by the call itself, before any next(): a generator
+        # would defer the check to the first iteration.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_fragmentations(apb1, **{knob: value})
 
     def test_dimension_restriction(self, apb1):
         options = list(

@@ -129,6 +129,9 @@ def _run_disk(params, head, pool, bursts):
     shared = [ExtentTemplate(extents) for extents in pool]
     completions: list[float] = []
 
+    def completed(_pages):
+        completions.append(env.now)
+
     def submit_bursts():
         for requests, fused in bursts:
             yield env.timeout(IDLE_GAP)
@@ -139,14 +142,10 @@ def _run_disk(params, head, pool, bursts):
                 pages = sum(p for _offset, p in extents)
                 reads.append((extents, pages, base - min(low, 0)))
             if fused and len(reads) > 1:
-                events = [disk.read_batch(reads)]
+                disk.read_batch(reads, completed)
             else:
-                events = [
-                    disk.read_validated(extents, pages, base)
-                    for extents, pages, base in reads
-                ]
-            for event in events:
-                event.wait(lambda _value: completions.append(env.now))
+                for extents, pages, base in reads:
+                    disk.read_validated(extents, pages, base, completed)
 
     env.process(submit_bursts())
     env.run()

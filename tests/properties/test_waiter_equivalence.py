@@ -1,19 +1,22 @@
-"""Resume-form server requests are order-equivalent to the Event form.
+"""A parked process and a self-driven body wake in the same order.
 
-``ProcessingNode.compute``, ``Disk.read_validated``, ``Disk.read_batch``
-and ``Network.transfer`` take an optional resume callable: a
-self-driven generator (the scheduler's subqueries) hands them its own
-``send`` instead of yielding the returned :class:`Event` to a
-:class:`Process`.  The goldens pin physics only, not dispatch order, so
-this is the test that guards the resume path: the same random scripts
-of CPU bursts, disk reads, fused batches, network hops and parallel
-joins run once per form on the production engine, and must give the
-same ``(now, label, value)`` log and the same ``event_count``.
+Every server request (``ProcessingNode.compute``,
+``Disk.read_validated``, ``Disk.read_batch``, ``Network.transfer``)
+takes a resume callable, and the simulator hands it two kinds: the
+query coordinator runs as a :class:`Process` whose body passes
+``process._resume_cb`` to each request and parks by yielding ``None``;
+each subquery is a self-driven generator that passes its own ``send``
+and is never wrapped in a Process.  The goldens pin physics only, not
+dispatch order, so this is the test that guards the two waiters: the
+same random scripts of CPU bursts, disk reads, fused batches, network
+hops and parallel joins run once per waiter on the production engine,
+and must give the same ``(now, label, value)`` log, the same
+``event_count``, the same clock and the same server statistics.
 
 The quick tier (what CI runs on every PR)::
 
     HYPOTHESIS_MAX_EXAMPLES=20 PYTHONPATH=src python -m pytest \
-        tests/properties/test_resume_equivalence.py -q
+        tests/properties/test_waiter_equivalence.py -q
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from tests.properties.strategies import STANDARD, request_scripts
 _MESSAGE_BYTES = 128
 
 
-def _simulate(script, resume_form: bool):
-    """Run ``script`` (one step list per process); returns the log, the
+def _simulate(script, self_driven: bool):
+    """Run ``script`` (one step list per body); returns the log, the
     final ``event_count`` and clock, and every server's statistics."""
     env = Environment()
     nodes = [ProcessingNode(env, node_id, 50.0) for node_id in range(2)]
@@ -40,7 +43,7 @@ def _simulate(script, resume_form: bool):
     network = Network(env, NetworkParameters())
     log = []
 
-    def request(step, resume=None):
+    def request(step, resume):
         kind = step[0]
         if kind == "cpu":
             return nodes[step[1]].compute(step[2], resume)
@@ -59,20 +62,13 @@ def _simulate(script, resume_form: bool):
     def finished(pid):
         log.append((env.now, "done", pid))
 
-    def event_body(pid, steps):
+    def steps_body(pid, steps, resume):
+        """The script's requests, each handed ``resume``; parks on
+        every one by yielding ``None``."""
         for index, step in enumerate(steps):
             if step[0] == "join":
-                yield env.all_of([request(item) for item in step[1]])
-                value = None
-            else:
-                value = yield request(step)
-            log.append((env.now, f"{pid}.{index}.{step[0]}", value))
-        return pid
-
-    def resume_body(pid, steps):
-        resume = yield
-        for index, step in enumerate(steps):
-            if step[0] == "join":
+                # Countdown join, as the subqueries' parallel bitmap
+                # reads: one resume per request, then one zero-delay hop.
                 for item in step[1]:
                     assert request(item, resume) is None
                 for _item in step[1]:
@@ -84,6 +80,16 @@ def _simulate(script, resume_form: bool):
                 assert request(step, resume) is None
                 value = yield
             log.append((env.now, f"{pid}.{index}.{step[0]}", value))
+
+    def process_body(pid, steps, handle):
+        # As the coordinator: the process's resume is read on the first
+        # dispatch, once the Process exists.
+        yield from steps_body(pid, steps, handle[0]._resume_cb)
+        return pid
+
+    def self_driven_body(pid, steps):
+        resume = yield
+        yield from steps_body(pid, steps, resume)
         # As the scheduler's subqueries end: a zero-delay completion
         # callback in place of the process's done event.
         env._schedule(0.0, finished, pid)
@@ -91,12 +97,14 @@ def _simulate(script, resume_form: bool):
         yield
 
     for pid, steps in enumerate(script):
-        if resume_form:
-            body = resume_body(pid, steps)
+        if self_driven:
+            body = self_driven_body(pid, steps)
             next(body)
             env._schedule(0.0, body.send, body.send)
         else:
-            env.process(event_body(pid, steps)).done.wait(finished)
+            handle = []
+            handle.append(env.process(process_body(pid, steps, handle)))
+            handle[0].done.wait(finished)
     env.run()
     servers = [
         (server.busy_time, server.queue_time, server.request_count)
@@ -107,9 +115,9 @@ def _simulate(script, resume_form: bool):
 
 @STANDARD
 @given(script=request_scripts)
-def test_resume_form_matches_event_form(script):
-    expected = _simulate(script, resume_form=False)
-    log, event_count, now, servers = _simulate(script, resume_form=True)
+def test_parked_process_matches_self_driven_body(script):
+    expected = _simulate(script, self_driven=False)
+    log, event_count, now, servers = _simulate(script, self_driven=True)
     assert log == expected[0]
     assert event_count == expected[1]
     assert now == expected[2]

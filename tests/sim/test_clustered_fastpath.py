@@ -349,13 +349,17 @@ class TestQueuedVsIdleDiskPricing:
                 # Submit everything at once: all but the first request
                 # are priced from _complete.
                 for start, pages in reads:
-                    disk.read_validated([(start, pages)], pages)
+                    disk.read_validated(
+                        [(start, pages)], pages, 0, lambda _pages: None
+                    )
                 env.run()
             else:
                 # One at a time: every request is priced by _service on
                 # an idle disk.
                 for start, pages in reads:
-                    disk.read_validated([(start, pages)], pages)
+                    disk.read_validated(
+                        [(start, pages)], pages, 0, lambda _pages: None
+                    )
                     env.run()
             return disk.busy_time, disk.seek_time, disk.pages_read
 

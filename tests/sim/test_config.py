@@ -153,9 +153,10 @@ class TestDiskParametersValidation:
             pages_per_track=1,
         )
         env = Environment()
-        done = Disk(env, params, 0).read(0, 1)
+        done = []
+        Disk(env, params, 0).read_extents([(0, 1)], done.append)
         env.run()
-        assert done.triggered and env.now == 0.0
+        assert done == [1] and env.now == 0.0
 
     def test_degraded_scenario_timings_validated(self):
         # The degraded-disk scenarios scale the timings; a non-finite

@@ -422,6 +422,75 @@ class TestDispatchEdgeCases:
             env.run()
 
 
+class TestDeliver:
+    """``Environment._deliver``, the servers' completion tail.
+
+    It runs the waiter inline only when nothing else can dispatch
+    first.  ``run`` adds its own dispatch count to ``event_count`` only
+    when it returns, so a waiter reading ``event_count`` sees 1 when
+    it ran inline and 0 when it took a ready-deque hop.
+    """
+
+    def _complete(self, env, order, before=None):
+        """A dispatched callback whose final action is ``_deliver``."""
+        def waiter(value):
+            order.append(("waiter", value, env.now, env.event_count))
+
+        def complete(_value):
+            order.append(("complete", env.now))
+            if before is not None:
+                before()
+            env._deliver(waiter, "v")
+            order.append(("after", env.now))
+
+        return complete
+
+    def test_inline_when_ready_empty_and_heap_head_later(self):
+        env = Environment()
+        order = []
+        env._schedule(1.0, self._complete(env, order), None)
+        env._schedule(2.0, order.append, "later")
+        env.run()
+        assert order == [
+            ("complete", 1.0),
+            ("waiter", "v", 1.0, 1),
+            ("after", 1.0),
+            "later",
+        ]
+        assert env.event_count == 3
+
+    def test_hop_when_ready_deque_non_empty(self):
+        env = Environment()
+        order = []
+
+        def queue_ready():
+            env._schedule(0.0, order.append, "ready")
+
+        env._schedule(1.0, self._complete(env, order, queue_ready), None)
+        env.run()
+        assert order == [
+            ("complete", 1.0),
+            ("after", 1.0),
+            "ready",
+            ("waiter", "v", 1.0, 0),
+        ]
+        assert env.event_count == 3
+
+    def test_hop_when_heap_entry_at_same_instant(self):
+        env = Environment()
+        order = []
+        env._schedule(1.0, self._complete(env, order), None)
+        env._schedule(1.0, order.append, "tie")
+        env.run()
+        assert order == [
+            ("complete", 1.0),
+            ("after", 1.0),
+            "tie",
+            ("waiter", "v", 1.0, 0),
+        ]
+        assert env.event_count == 3
+
+
 class TestFarFutureOrdering:
     """Entries far beyond the current instant (think times, arrival
     gaps, degraded-disk completions) dispatch in exact ``(time, seq)``

@@ -29,6 +29,10 @@ from repro.sim.simulator import ParallelWarehouseSimulator
 from repro.workload.queries import query_type
 
 
+def _ignore(_value):
+    """A resume callable for reads whose completion nobody awaits."""
+
+
 def _tiny_sim(**overrides):
     schema = tiny_schema()
     fragmentation = Fragmentation.parse("time::month", "product::group")
@@ -143,8 +147,8 @@ class TestStartTimePricing:
         env = Environment()
         disk = Disk(env, params, 0)
         far_page = 512 * params.pages_per_track
-        disk.read(far_page, 8)       # moves the head far out
-        disk.read(0, 8)              # priced only once the first is done
+        disk.read_extents([(far_page, 8)], _ignore)  # moves the head far out
+        disk.read_extents([(0, 8)], _ignore)  # priced once the first is done
         env.run()
         seek_out = disk.seek_seconds(0.0, far_page / params.pages_per_track)
         seek_back = disk.seek_seconds(
@@ -157,8 +161,8 @@ class TestStartTimePricing:
     def test_truncated_run_counts_only_serviced_pages(self):
         env = Environment()
         disk = Disk(env, DiskParameters(), 0)
-        disk.read(0, 8)        # services immediately
-        disk.read(10_000, 8)   # queued behind the first
+        disk.read_extents([(0, 8)], _ignore)       # services immediately
+        disk.read_extents([(10_000, 8)], _ignore)  # queued behind the first
         env.run(until=1e-6)    # first service started, second has not
         assert disk.pages_read == 8
         env.run()
@@ -167,7 +171,7 @@ class TestStartTimePricing:
     def test_busy_time_accrues_on_completion(self):
         env = Environment()
         disk = Disk(env, DiskParameters(), 0)
-        disk.read(0, 8)
+        disk.read_extents([(0, 8)], _ignore)
         env.run(until=1e-6)
         # Still in service: no busy time credited yet.
         assert disk.busy_time == 0.0
@@ -177,7 +181,7 @@ class TestStartTimePricing:
     def test_utilization_asserts_instead_of_clamping(self):
         env = Environment()
         disk = Disk(env, DiskParameters(), 0)
-        disk.read(0, 8)
+        disk.read_extents([(0, 8)], _ignore)
         env.run()
         assert 0.0 < disk.utilization(env.now) <= 1.0
         disk.busy_time = env.now * 2  # corrupt the accounting
@@ -187,9 +191,10 @@ class TestStartTimePricing:
     def test_bad_extents_fail_at_the_call_site(self):
         env = Environment()
         disk = Disk(env, DiskParameters(), 0)
-        disk.read(0, 8)  # make the disk busy
+        disk.read_extents([(0, 8)], _ignore)  # make the disk busy
         with pytest.raises(ValueError):
-            disk.read_extents([(100, 0)])  # fails immediately, not in-event
+            # Fails immediately, not in-event.
+            disk.read_extents([(100, 0)], _ignore)
         env.run()  # the queued-bad-extent never reaches the event loop
         assert disk.pages_read == 8
 
@@ -201,12 +206,12 @@ class TestVectorisedPricing:
         env_a = Environment()
         scalar = Disk(env_a, params, 0)
         monkeypatch.setattr(disk_module, "VECTOR_MIN_EXTENTS", 10**9)
-        scalar.read_extents(list(extents))
+        scalar.read_extents(list(extents), _ignore)
         env_a.run()
         monkeypatch.setattr(disk_module, "VECTOR_MIN_EXTENTS", 1)
         env_b = Environment()
         vector = Disk(env_b, params, 0)
-        vector.read_extents(list(extents))
+        vector.read_extents(list(extents), _ignore)
         env_b.run()
         assert env_a.now == env_b.now  # bit-identical service time
         assert scalar.seek_time == vector.seek_time
@@ -226,8 +231,8 @@ class TestVectorisedPricing:
             return original(self, extents, base)
 
         monkeypatch.setattr(Disk, "_service_vector", spy)
-        disk.read_extents([(0, 8), (100, 8)])          # below threshold
-        disk.read_extents([(i * 50, 4) for i in range(6)])  # above
+        disk.read_extents([(0, 8), (100, 8)], _ignore)  # below threshold
+        disk.read_extents([(i * 50, 4) for i in range(6)], _ignore)  # above
         env.run()
         assert calls == [6]
 

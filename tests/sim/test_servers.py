@@ -19,21 +19,33 @@ from repro.sim.network import Network, receive_instructions, send_instructions
 from repro.sim.resources import FifoServer
 
 
+def _ignore(_value):
+    """A resume callable for requests whose completion nobody awaits."""
+
+
 class TestFifoServer:
     def test_serves_in_order(self):
         env = Environment()
         server = FifoServer(env)
         completions = []
-        server.submit(lambda: 2.0).wait(lambda _v: completions.append(("a", env.now)))
-        server.submit(lambda: 1.0).wait(lambda _v: completions.append(("b", env.now)))
+        server.submit(2.0, lambda _v: completions.append(("a", env.now)))
+        server.submit(1.0, lambda _v: completions.append(("b", env.now)))
         env.run()
         assert completions == [("a", 2.0), ("b", 3.0)]
+
+    def test_completion_wakes_resume_with_value(self):
+        env = Environment()
+        server = FifoServer(env)
+        woken = []
+        server.submit(1.0, woken.append, "payload")
+        env.run()
+        assert woken == ["payload"]
 
     def test_busy_time_accumulates(self):
         env = Environment()
         server = FifoServer(env)
-        server.submit(lambda: 2.0)
-        server.submit(lambda: 3.0)
+        server.submit(2.0, _ignore)
+        server.submit(3.0, _ignore)
         env.run()
         assert server.busy_time == pytest.approx(5.0)
         assert server.request_count == 2
@@ -41,15 +53,15 @@ class TestFifoServer:
     def test_queue_time_tracked(self):
         env = Environment()
         server = FifoServer(env)
-        server.submit(lambda: 2.0)
-        server.submit(lambda: 1.0)  # waits 2.0 in queue
+        server.submit(2.0, _ignore)
+        server.submit(1.0, _ignore)  # waits 2.0 in queue
         env.run()
         assert server.queue_time == pytest.approx(2.0)
 
     def test_utilization(self):
         env = Environment()
         server = FifoServer(env)
-        server.submit(lambda: 2.0)
+        server.submit(2.0, _ignore)
         env.run()
         env.timeout(2.0).wait(lambda _v: None)
         env.run()
@@ -58,11 +70,11 @@ class TestFifoServer:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_submit_rejects_non_finite_or_negative_service(self, bad):
         server = FifoServer(Environment(), name="srv")
-        # The server is idle, so service is priced immediately.
         with pytest.raises(
             ValueError, match=f"'srv'.*got {re.escape(repr(bad))}"
         ):
-            server.submit(lambda: bad)
+            server.submit(bad, _ignore)
+        assert server.queue_length == 0
 
     @pytest.mark.parametrize("service", [0.0, 5e-324, 1e300])
     def test_submit_accepts_zero_and_finite_service(self, service):
@@ -70,9 +82,10 @@ class TestFifoServer:
         # inf: zero, the smallest subnormal and a huge finite time run.
         env = Environment()
         server = FifoServer(env, name="srv")
-        done = server.submit(service)
+        done = []
+        server.submit(service, done.append)
         env.run()
-        assert done.triggered
+        assert done == [None]
         assert env.now == service
         assert server.busy_time == service
 
@@ -80,28 +93,28 @@ class TestFifoServer:
     def test_complete_accepts_zero_and_finite_service(self, service):
         env = Environment()
         server = FifoServer(env, name="srv")
-        server.submit(1.0)
-        done = server.submit(lambda: service)
+        server.submit(1.0, _ignore)
+        done = []
+        server.submit(service, done.append)
         env.run()
-        assert done.triggered
+        assert done == [None]
         assert server.request_count == 2
         assert env.now == 1.0 + service
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-    @pytest.mark.parametrize("priced", [False, True])
-    def test_complete_rejects_non_finite_or_negative_service(
-        self, bad, priced
-    ):
-        # The second request waits, so it is priced in _complete when
-        # the first one finishes; both the float and callable forms.
+    def test_busy_submit_rejects_non_finite_or_negative_service(self, bad):
+        # A request behind a busy server is refused at submit, in the
+        # caller's frame, not when it would start service in env.run().
         env = Environment()
         server = FifoServer(env, name="srv")
-        server.submit(1.0)
-        server.submit(bad if priced else (lambda: bad))
+        server.submit(1.0, _ignore)
         with pytest.raises(
             ValueError, match=f"'srv'.*got {re.escape(repr(bad))}"
         ):
-            env.run()
+            server.submit(bad, _ignore)
+        assert server.queue_length == 1
+        env.run()
+        assert server.request_count == 1 and env.now == 1.0
 
 
 class TestDisk:
@@ -111,19 +124,36 @@ class TestDisk:
         return env, Disk(env, DiskParameters(), disk_id=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-    def test_queued_callable_rejects_non_finite_or_negative(self, disk, bad):
-        # Disk._complete prices a queued callable request itself.
+    def test_busy_submit_rejects_non_finite_or_negative(self, disk, bad):
+        # Disk inherits FifoServer.submit: a bad duration behind a busy
+        # disk is refused at submit, before env.run().
         env, d = disk
-        d.submit(1.0)
-        d.submit(lambda: bad)
+        d.submit(1.0, _ignore)
         with pytest.raises(
             ValueError, match=f"'disk0'.*got {re.escape(repr(bad))}"
         ):
-            env.run()
+            d.submit(bad, _ignore)
+        assert d.queue_length == 1
+        env.run()
+        assert d.request_count == 1 and env.now == 1.0
+
+    @pytest.mark.parametrize("duration", [1.0, 1])
+    def test_queued_submit_served_in_order(self, disk, duration):
+        # A generic 4-tuple queued behind a read is served after it
+        # with its submitted duration, a float or an int.
+        env, d = disk
+        woken = []
+        d.read_extents([(0, 8)], woken.append)
+        d.submit(duration, woken.append, "submitted")
+        env.run()
+        assert woken == [8, "submitted"]
+        assert env.now == pytest.approx(0.003 + 8 * 0.001 + 1.0)
+        assert d.request_count == 2
+        assert d.busy_time == pytest.approx(0.003 + 8 * 0.001 + 1.0)
 
     def test_single_read_timing(self, disk):
         env, d = disk
-        d.read(start_page=0, n_pages=8)
+        d.read_extents([(0, 8)], _ignore)
         env.run()
         # Head starts at track 0, page 0 is track 0: no seek.
         assert env.now == pytest.approx(0.003 + 8 * 0.001)
@@ -154,27 +184,29 @@ class TestDisk:
         env = Environment()
         sequential = Disk(env, params, 0)
         scattered = Disk(env, params, 1)
-        sequential.read_extents([(i * 8, 8) for i in range(50)])
-        scattered.read_extents([(i * 10_000, 8) for i in range(50)])
+        sequential.read_extents([(i * 8, 8) for i in range(50)], _ignore)
+        scattered.read_extents(
+            [(i * 10_000, 8) for i in range(50)], _ignore
+        )
         env.run()
         assert sequential.busy_time < scattered.busy_time
         assert sequential.seek_time < scattered.seek_time
 
     def test_pages_counted(self, disk):
         env, d = disk
-        d.read_extents([(0, 8), (100, 4)])
+        d.read_extents([(0, 8), (100, 4)], _ignore)
         env.run()
         assert d.pages_read == 12
 
     def test_empty_extents_rejected(self, disk):
         _env, d = disk
         with pytest.raises(ValueError):
-            d.read_extents([])
+            d.read_extents([], _ignore)
 
     def test_zero_page_extent_rejected(self, disk):
         _env, d = disk
         with pytest.raises(ValueError):
-            d.read_extents([(0, 0)])
+            d.read_extents([(0, 0)], _ignore)
 
     def test_negative_start_page_rejected(self, disk):
         # Regression: a negative start moved the head off the platter.
@@ -182,7 +214,7 @@ class TestDisk:
         with pytest.raises(
             ValueError, match=r"extent \(-8, 8\).*capacity_pages=1048576"
         ):
-            d.read_extents([(0, 8), (-8, 8)])
+            d.read_extents([(0, 8), (-8, 8)], _ignore)
         env.run()
         assert d.pages_read == 0 and d.request_count == 0
 
@@ -195,16 +227,16 @@ class TestDisk:
             ValueError,
             match=rf"extent \({capacity - 4}, 8\).*capacity_pages={capacity}",
         ):
-            d.read_extents([(capacity - 4, 8)])
+            d.read_extents([(capacity - 4, 8)], _ignore)
         with pytest.raises(ValueError, match="capacity_pages"):
-            d.read(capacity, 1)
+            d.read_extents([(capacity, 1)], _ignore)
         env.run()
         assert d.seek_time == 0.0 and d.request_count == 0
 
     def test_extents_up_to_the_last_page_accepted(self, disk):
         env, d = disk
         capacity = d.params.capacity_pages
-        d.read_extents([(0, 1), (capacity - 8, 8)])
+        d.read_extents([(0, 1), (capacity - 8, 8)], _ignore)
         env.run()
         assert d.pages_read == 9
         assert d._head_track == d._total_tracks
@@ -214,7 +246,7 @@ class TestDisk:
     def test_trusted_path_does_not_validate(self, disk):
         # read_validated stays unchecked: its callers build the extents.
         env, d = disk
-        d.read_validated([(-8, 8)], 8, base=8)
+        d.read_validated([(-8, 8)], 8, 8, _ignore)
         env.run()
         assert d.pages_read == 8
 
@@ -223,7 +255,7 @@ class TestProcessingNode:
     def test_compute_duration(self):
         env = Environment()
         node = ProcessingNode(env, 0, cpu_mips=50.0)
-        node.compute(50_000)  # the initiate-query cost
+        node.compute(50_000, _ignore)  # the initiate-query cost
         env.run()
         assert env.now == pytest.approx(0.001)
         assert node.instructions == 50_000
@@ -231,8 +263,8 @@ class TestProcessingNode:
     def test_requests_serialise(self):
         env = Environment()
         node = ProcessingNode(env, 0, cpu_mips=1.0)
-        node.compute(1e6)
-        node.compute(1e6)
+        node.compute(1e6, _ignore)
+        node.compute(1e6, _ignore)
         env.run()
         assert env.now == pytest.approx(2.0)
 
@@ -247,7 +279,7 @@ class TestProcessingNode:
         with pytest.raises(
             ValueError, match=f"'node3'.*got {re.escape(repr(bad))}"
         ):
-            node.compute(bad)
+            node.compute(bad, _ignore)
         assert node.instructions == 0
 
     @pytest.mark.parametrize("instructions", [0, 0.0, 2**53])
@@ -256,9 +288,10 @@ class TestProcessingNode:
     ):
         env = Environment()
         node = ProcessingNode(env, 0, cpu_mips=50.0)
-        done = node.compute(instructions)
+        done = []
+        node.compute(instructions, done.append)
         env.run()
-        assert done.triggered
+        assert done == [None]
         assert node.instructions == int(instructions)
         assert env.now == instructions / 50e6
 
@@ -274,8 +307,10 @@ class TestNetwork:
     def test_transfer_event(self):
         env = Environment()
         net = Network(env, NetworkParameters())
-        net.transfer(4096)
+        woken = []
+        net.transfer(4096, net.transfer_seconds(4096), woken.append)
         env.run()
+        assert woken == [None]
         assert env.now == pytest.approx(4096 * 8 / 100e6)
         assert net.messages_sent == 1
         assert net.bytes_sent == 4096
