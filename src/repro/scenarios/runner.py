@@ -76,47 +76,37 @@ def _schema_for(run: RunSpec):
 
 
 #: SimulatedDatabase instances shared across the run points of one
-#: process.  Keyed by every RunSpec field that shapes the physical
-#: database (geometry, allocation, skew); run points that differ only
-#: in scheduling knobs (node count, task limit, seed without skew)
-#: reuse the same database object.
+#: process, keyed by :func:`~repro.sim.database.database_fields`: run
+#: points that differ only in scheduling knobs (node count, task limit,
+#: seed without skew) or disk timings reuse the same database object.
 _DATABASE_CACHE: dict[tuple, object] = {}
 _DATABASE_CACHE_LIMIT = 64
 
 
-def _database_key(run: RunSpec) -> tuple:
-    return (
-        run.schema,
-        run.channels,
-        run.density,
-        run.fragmentation,
-        run.n_disks,
-        run.staggered_allocation,
-        run.allocation_scheme,
-        run.cluster_factor,
-        run.data_skew,
-        run.io_coalesce,
-        run.seed if run.data_skew > 0 else None,
-    )
-
-
 def _database_for(run: RunSpec, schema):
-    key = _database_key(run)
+    from repro.sim.database import SimulatedDatabase, database_fields
+
+    fragmentation = run.parsed_fragmentation()
+    params = run.sim_params()
+    key = database_fields(schema, fragmentation, params)
     database = _DATABASE_CACHE.get(key)
     if database is None:
-        from repro.sim.database import SimulatedDatabase
-
-        params = run.sim_params()
-        database = SimulatedDatabase(
-            schema=schema,
-            fragmentation=run.parsed_fragmentation(),
-            params=params,
-            staggered=params.staggered_allocation,
-        )
+        database = SimulatedDatabase(schema, fragmentation, params)
         if len(_DATABASE_CACHE) >= _DATABASE_CACHE_LIMIT:
             _DATABASE_CACHE.clear()
         _DATABASE_CACHE[key] = database
     return database
+
+
+def _simulator_for(run: RunSpec):
+    """The simulator of one run point, on the shared schema and database."""
+    from repro.sim.simulator import ParallelWarehouseSimulator
+
+    schema = _schema_for(run)
+    database = _database_for(run, schema)
+    return ParallelWarehouseSimulator(
+        schema, database.fragmentation, run.sim_params(), database=database
+    )
 
 
 def warm_caches(runs: Iterable[RunSpec]) -> list[str]:
@@ -168,17 +158,12 @@ def _round6(value: float) -> float:
 
 
 def _sim_metrics(run: RunSpec) -> dict:
-    from repro.sim.simulator import ParallelWarehouseSimulator
     from repro.workload.queries import query_type
 
-    schema = _schema_for(run)
-    simulator = ParallelWarehouseSimulator(
-        schema,
-        run.parsed_fragmentation(),
-        run.sim_params(),
-        database=_database_for(run, schema),
+    simulator = _simulator_for(run)
+    query = query_type(run.query).instantiate(
+        simulator.database.schema, random.Random(run.seed)
     )
-    query = query_type(run.query).instantiate(schema, random.Random(run.seed))
     result = simulator.run([query])
     q = result.queries[0]
     return {
@@ -226,16 +211,8 @@ def _session_query_factory(run: RunSpec, schema):
 
 
 def _multi_user_metrics(run: RunSpec) -> dict:
-    from repro.sim.simulator import ParallelWarehouseSimulator
-
-    schema = _schema_for(run)
-    simulator = ParallelWarehouseSimulator(
-        schema,
-        run.parsed_fragmentation(),
-        run.sim_params(),
-        database=_database_for(run, schema),
-    )
-    session_queries = _session_query_factory(run, schema)
+    simulator = _simulator_for(run)
+    session_queries = _session_query_factory(run, simulator.database.schema)
     result = simulator.run_multi_user(
         [session_queries(stream) for stream in range(run.streams)]
     )
@@ -259,19 +236,11 @@ _PER_STREAM_METRIC_CAP = 512
 
 
 def _open_system_metrics(run: RunSpec) -> dict:
-    from repro.sim.simulator import ParallelWarehouseSimulator
-
-    schema = _schema_for(run)
-    simulator = ParallelWarehouseSimulator(
-        schema,
-        run.parsed_fragmentation(),
-        run.sim_params(),
-        database=_database_for(run, schema),
-    )
+    simulator = _simulator_for(run)
     result = simulator.run_open_system(
         run.streams,
         run.workload_params(),
-        query_factory=_session_query_factory(run, schema),
+        query_factory=_session_query_factory(run, simulator.database.schema),
     )
     metrics = {
         "sessions": run.streams,

@@ -224,6 +224,36 @@ def _expansion_blocks(
         lo = hi
 
 
+def database_fields(
+    schema: StarSchema,
+    fragmentation: Fragmentation,
+    params: SimulationParameters,
+) -> tuple[tuple[str, object], ...]:
+    """The ``(name, value)`` inputs that shape a physical database.
+
+    Run points on which these agree can share one
+    :class:`SimulatedDatabase` and differ only in scheduling knobs (node
+    count, task limits) or disk timings (degraded disks).  The tuple is
+    hashable, a cache key as it stands.  The schema compares by
+    identity; the seed counts only under data skew.
+    """
+    return (
+        ("schema", schema),
+        ("fragmentation", fragmentation),
+        ("n_disks", params.hardware.n_disks),
+        ("staggered_allocation", params.staggered_allocation),
+        ("allocation_scheme", params.allocation_scheme),
+        ("cluster_factor", params.cluster_factor),
+        ("data_skew", params.data_skew),
+        (
+            "seed (skew permutation)",
+            params.seed if params.data_skew > 0 else None,
+        ),
+        ("buffer", params.buffer),
+        ("io_coalesce", params.io_coalesce),
+    )
+
+
 class SimulatedDatabase:
     """The allocated star schema as seen by the simulator."""
 
@@ -233,7 +263,6 @@ class SimulatedDatabase:
         fragmentation: Fragmentation,
         params: SimulationParameters,
         catalog: IndexCatalog | None = None,
-        staggered: bool = True,
     ):
         self.schema = schema
         self.fragmentation = fragmentation
@@ -259,7 +288,7 @@ class SimulatedDatabase:
             n_disks=params.hardware.n_disks,
             kept_bitmaps=self.elimination.total_kept,
             page_size=params.buffer.page_size,
-            staggered=staggered,
+            staggered=params.staggered_allocation,
             scheme=params.allocation_scheme,
             cluster_factor=params.cluster_factor,
             fact_fragment_pages=fact_override,

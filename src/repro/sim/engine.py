@@ -33,6 +33,15 @@ hands over before parking (the coordinator).
 The ready-deque path counts into ``Environment.event_count`` exactly
 as if the callback had travelled through the heap, so event statistics
 are independent of the fast path.
+
+A :class:`Process` whose body returns drops its bound resume before it
+triggers ``done``.  That bound method is the process's only reference
+to itself, so a finished process is freed by refcounting rather than
+left in a cycle for the collector.  The simulator runs every mode as
+session processes under :meth:`Environment.run`;
+:meth:`Environment.run_until_event` has no simulator caller and stays
+part of the engine surface that the equivalence harness pins against
+the reference engine.
 """
 
 from __future__ import annotations
@@ -163,7 +172,8 @@ class Process:
     """A running simulation process wrapping a generator body.
 
     The body yields an :class:`Event` to wait on it, or ``None`` to
-    park after handing the process's resume to a request itself.
+    park after handing the process's resume to a request itself.  Once
+    the body returns, ``_resume_cb`` is ``None``.
     """
 
     __slots__ = ("env", "_send", "_resume_cb", "done")
@@ -179,6 +189,9 @@ class Process:
         try:
             event = self._send(value)
         except StopIteration as stop:
+            # Drop the bound resume, this process's only reference to
+            # itself, so a finished process is freed by refcount.
+            self._resume_cb = None
             self.done.succeed(stop.value)
             return
         if event.__class__ is not Event and not isinstance(event, Event):

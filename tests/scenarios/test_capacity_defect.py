@@ -13,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios.registry import iter_scenarios
-from repro.scenarios.runner import _database_key, _schema_for
+from repro.scenarios.runner import _schema_for
 from repro.scenarios.spec import KIND_SIMULATION
-from repro.sim.database import SimulatedDatabase
+from repro.sim.database import SimulatedDatabase, database_fields
 
 
 def _databases():
@@ -26,16 +26,15 @@ def _databases():
         if scenario.kind != KIND_SIMULATION:
             continue
         for run in scenario.runs:
-            key = _database_key(run)
+            schema = _schema_for(run)
+            fragmentation = run.parsed_fragmentation()
+            params = run.sim_params()
+            key = database_fields(schema, fragmentation, params)
             if key in seen:
                 continue
             seen.add(key)
-            params = run.sim_params()
             yield f"{scenario.name}/{run.run_id}", params, SimulatedDatabase(
-                _schema_for(run),
-                run.parsed_fragmentation(),
-                params,
-                staggered=params.staggered_allocation,
+                schema, fragmentation, params
             )
 
 

@@ -262,8 +262,9 @@ class TestClusteredDistinctAccesses:
     def test_count_only_metrics_equal_full_lru(self, overrides, monkeypatch):
         """End to end: a single-query run with the counting-only
         shortcut produces metrics identical to the full LRU buffer path
-        (no hit is possible, so the shortcut is exact).  One subquery at
-        a time leaves the engine idle around every read.
+        (no hit is possible, so the shortcut is exact), in single-user
+        mode and as a one-stream multi-user run.  One subquery at a time
+        leaves the engine idle around every read.
         """
         schema = tiny_schema()
         fragmentation = Fragmentation.parse("time::month", "product::group")
@@ -272,12 +273,14 @@ class TestClusteredDistinctAccesses:
 
         fast = ParallelWarehouseSimulator(schema, fragmentation, params)
         with_shortcut = fast.run([query])
+        one_stream_with = fast.run_multi_user([[query]])
 
         monkeypatch.setattr(
             BufferManager, "assume_distinct_accesses", lambda self: None
         )
         slow = ParallelWarehouseSimulator(schema, fragmentation, params)
         without_shortcut = slow.run([query])
+        one_stream_without = slow.run_multi_user([[query]])
 
         def signature(result):
             q = result.queries[0]
@@ -290,6 +293,7 @@ class TestClusteredDistinctAccesses:
 
         assert signature(with_shortcut) == signature(without_shortcut)
         assert with_shortcut.buffer_hits == 0
+        assert signature(one_stream_with) == signature(one_stream_without)
 
 
 class TestSequentialBitmapProbeTiming:
@@ -638,11 +642,9 @@ class TestClusteredExpansionReference:
         schema, database = _reference_database(
             ("customer::retailer", "channel::channel"),
             allocation_scheme=scheme,
+            staggered_allocation=staggered,
         )
-        database = SimulatedDatabase(
-            schema, database.fragmentation, database.params,
-            staggered=staggered,
-        )
+        assert database.allocation.staggered is staggered
         query = query_type("1MONTH1GROUP").instantiate(
             schema, random.Random(0)
         )

@@ -342,8 +342,12 @@ class TestSessionFactory:
         (0, lambda s: [month_query()], "at least one session"),
         ([[month_query()]], lambda s: [month_query()], "only combines"),
         (3, lambda s: [] if s == 1 else [month_query()], "empty session 1"),
+        (True, lambda s: [month_query()],
+         r"session count must be an integer, got True"),
+        (2.0, lambda s: [month_query()],
+         r"session count must be an integer, got 2\.0"),
     ], ids=["count-without-factory", "zero-count", "list-with-factory",
-            "empty-drawn-session"])
+            "empty-drawn-session", "bool-count", "float-count"])
     def test_factory_form_validation(self, tiny_sim, sessions, factory,
                                      match):
         with pytest.raises(ValueError, match=match):

@@ -1,4 +1,4 @@
-"""The per-run query-setup memo (:class:`repro.sim.simulator.QuerySetup`).
+"""The per-run query-setup memo (:class:`repro.sim.scheduler.QuerySetup`).
 
 A run plans each distinct predicate tuple once and keeps a query's
 expanded work units from its second sight on.  The memo must be
@@ -15,11 +15,13 @@ import pytest
 
 from repro.mdhf.query import Predicate, StarQuery
 from repro.mdhf.spec import Fragmentation
+from repro.sim import scheduler as scheduler_module
 from repro.sim import simulator as simulator_module
 from repro.sim.config import SimulationParameters, WorkloadParameters
 from repro.sim.database import SubqueryWork
 from repro.sim.engine import Environment
-from repro.sim.simulator import ParallelWarehouseSimulator, QuerySetup
+from repro.sim.scheduler import QuerySetup
+from repro.sim.simulator import ParallelWarehouseSimulator
 
 
 def tiny_params(**extra):
@@ -111,7 +113,7 @@ def run_mode(sim: ParallelWarehouseSimulator, mode: str):
 
 
 def memo_off(monkeypatch) -> None:
-    monkeypatch.setattr(simulator_module, "QUERY_MEMO_CAP", 0)
+    monkeypatch.setattr(scheduler_module, "QUERY_MEMO_CAP", 0)
 
 
 class TestMemoIsInvisible:
@@ -140,7 +142,7 @@ class TestMemoIsInvisible:
         # and then the rest of a fresh expansion.
         sim = ParallelWarehouseSimulator(tiny, frag, tiny_params())
         queries = [store(7)] * 3
-        monkeypatch.setattr(simulator_module, "QUERY_MEMO_CAP", 100)
+        monkeypatch.setattr(scheduler_module, "QUERY_MEMO_CAP", 100)
         capped = sim.run(queries)
         assert recorded[0].retained == 1
         memo_off(monkeypatch)
@@ -187,7 +189,7 @@ class TestKeptUnits:
         # repeated: far more than a cap of 60 can keep.
         sim = ParallelWarehouseSimulator(tiny, frag, tiny_params())
         queries = [month(m) for m in range(12)] * 3
-        monkeypatch.setattr(simulator_module, "QUERY_MEMO_CAP", 60)
+        monkeypatch.setattr(scheduler_module, "QUERY_MEMO_CAP", 60)
         capped = sim.run(queries)
         (setup,) = recorded
         assert 0 < setup.peak <= 60

@@ -2,6 +2,7 @@
 full-scale spot check against the paper."""
 
 import gc
+import random
 import weakref
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from repro.sim.config import SimulationParameters
 from repro.sim.engine import Process
 from repro.sim.scheduler import QueryExecutor
 from repro.sim.simulator import ParallelWarehouseSimulator
+from repro.workload.queries import query_type
 
 
 def tiny_params(**kwargs):
@@ -71,6 +73,18 @@ class TestBasicExecution:
         sim = ParallelWarehouseSimulator(tiny, tiny_frag, tiny_params())
         result = sim.run_repeated(one_month_tiny, 3)
         assert result.query_count == 3
+
+    @pytest.mark.parametrize("repetitions, shown", [
+        (True, "True"), (2.0, r"2\.0"), ("3", "'3'"),
+    ], ids=["bool", "float", "str"])
+    def test_run_repeated_rejects_non_integer_counts(
+        self, tiny, tiny_frag, one_month_tiny, repetitions, shown
+    ):
+        sim = ParallelWarehouseSimulator(tiny, tiny_frag, tiny_params())
+        with pytest.raises(
+            ValueError, match=f"repetitions must be an integer, got {shown}"
+        ):
+            sim.run_repeated(one_month_tiny, repetitions)
 
 
 class TestSchedulingPolicies:
@@ -159,10 +173,11 @@ class TestBufferManager:
 
 
 class TestNoCyclicGarbage:
-    """A finished subquery is freed by refcounting: its generator must
-    not reference itself once it parks, and it runs without a
-    ``Process`` of its own.  Only the queries' coordinator processes
-    may be left for the cyclic collector."""
+    """A finished run is freed by refcounting: a subquery's generator
+    must not reference itself once it parks, and it runs without a
+    ``Process`` of its own; a finished ``Process`` (a coordinator or a
+    session) drops its bound resume, so none is left for the cyclic
+    collector."""
 
     @pytest.mark.parametrize("parallel_bitmap_io", [True, False])
     def test_subqueries_leave_no_cyclic_garbage(
@@ -203,12 +218,125 @@ class TestNoCyclicGarbage:
             ]
             processes = [obj for obj in gc.garbage if type(obj) is Process]
             assert leftover == []
-            assert len(processes) <= len(queries)
+            assert processes == []
         finally:
             gc.set_debug(old_debug)
             gc.garbage.clear()
             if was_enabled:
                 gc.enable()
+
+
+#: A single-user stream with two repeats, so the second sight of each
+#: query finds pages left in the LRU pools by the first.
+STREAM = [
+    ("1STORE", 1), ("1MONTH1GROUP", 0), ("1STORE", 1), ("1MONTH1GROUP", 0),
+    ("1QUARTER", 2),
+]
+
+#: (fragmentation, parallel_bitmap_io) -> (per query (response time,
+#: fact pages, bitmap pages, coordinator node), (buffer hits, misses),
+#: elapsed, disk busy times, CPU busy times).  Captured from the
+#: per-query ``run_until_event`` loop that single-user runs used before
+#: they became one session process; the figures must not move.
+STREAM_PHYSICS = {
+    (("time::month", "product::group"), True): (
+        [
+            (0.3718462279722167, 288, 288, 3),
+            (0.0018907199999999569, 0, 0, 3),
+            (0.3637926945397081, 277, 277, 0),
+            (0.0018907200000000124, 0, 0, 2),
+            (0.03456706294172085, 28, 0, 3),
+        ],
+        (68, 1158), 0.7739874254536456,
+        [0.5873771754567613, 0.5913251180428671, 0.5875066868865518,
+         0.5995296082238708, 0.5995279627344197, 0.6037382957853925,
+         0.6075219600919501, 0.5791558340073956],
+        [0.12217071999999969, 0.0651283199999997, 0.06716655999999971,
+         0.13880640000000052],
+    ),
+    (("time::month", "product::group"), False): (
+        [
+            (0.3718462279722167, 288, 288, 3),
+            (0.0018907199999999569, 0, 0, 3),
+            (0.3637926945397081, 277, 277, 0),
+            (0.0018907200000000124, 0, 0, 2),
+            (0.03456706294172085, 28, 0, 3),
+        ],
+        (68, 1158), 0.7739874254536456,
+        [0.5873771754567613, 0.5913251180428671, 0.5875066868865518,
+         0.5995296082238708, 0.5995279627344197, 0.6037382957853925,
+         0.6075219600919501, 0.5791558340073956],
+        [0.12217071999999969, 0.0651283199999997, 0.06716655999999971,
+         0.13880640000000052],
+    ),
+    (("customer::retailer", "channel::channel"), True): (
+        [
+            (0.016280576650155906, 12, 2, 3),
+            (0.02074406533052677, 36, 14, 3),
+            (0.00319959999999999, 0, 0, 0),
+            (0.017030611496755034, 6, 2, 2),
+            (0.006610959999999992, 0, 0, 3),
+        ],
+        (45, 27), 0.0638658134774377,
+        [0.021044205570600095, 0.017111607197030903, 0.01709664154420525,
+         0.017122785330526774, 0.017122785330526774, 0.017122785330526774,
+         0.026167636827281838, 0.021122785330526774],
+        [0.01390456, 0.009152959999999998, 0.008634559999999998,
+         0.011770639999999995],
+    ),
+    (("customer::retailer", "channel::channel"), False): (
+        [
+            (0.016280576650155906, 12, 2, 3),
+            (0.024163790047450194, 36, 14, 3),
+            (0.00319959999999999, 0, 0, 0),
+            (0.02104892204363004, 6, 2, 2),
+            (0.006610959999999999, 0, 0, 3),
+        ],
+        (45, 27), 0.07130384874123613,
+        [0.021018310546875002, 0.017111607197030903, 0.01709664154420525,
+         0.017122785330526774, 0.01709664154420525, 0.01709664154420525,
+         0.026141493040960313, 0.02109664154420525],
+        [0.01390456, 0.009152959999999998, 0.008634559999999998,
+         0.011770639999999995],
+    ),
+}
+
+
+class TestMultiQueryStreamPhysics:
+    """``run`` with several queries, as ``repro simulate --repeat``
+    drives it: no golden covers a stream longer than one query."""
+
+    @pytest.mark.parametrize(
+        "fragmentation, parallel_bitmap_io", list(STREAM_PHYSICS),
+        ids=[
+            "month_group-parallel", "month_group-serial",
+            "retailer_channel-parallel", "retailer_channel-serial",
+        ],
+    )
+    def test_stream_physics_pinned(
+        self, tiny, fragmentation, parallel_bitmap_io
+    ):
+        params = replace(tiny_params(), parallel_bitmap_io=parallel_bitmap_io)
+        sim = ParallelWarehouseSimulator(
+            tiny, Fragmentation.parse(*fragmentation), params
+        )
+        queries = [
+            query_type(name).instantiate(tiny, random.Random(seed))
+            for name, seed in STREAM
+        ]
+        result = sim.run(queries)
+        per_query, buffer, elapsed, disk_busy, cpu_busy = STREAM_PHYSICS[
+            (fragmentation, parallel_bitmap_io)
+        ]
+        assert [
+            (q.response_time, q.fact_pages, q.bitmap_pages, q.coordinator_node)
+            for q in result.queries
+        ] == per_query
+        assert [q.name for q in result.queries] == [name for name, _ in STREAM]
+        assert (result.buffer_hits, result.buffer_misses) == buffer
+        assert result.elapsed == elapsed
+        assert result.disk_busy == disk_busy
+        assert result.cpu_busy == cpu_busy
 
 
 class TestCrossValidationWithCostModel:
