@@ -18,7 +18,23 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable
 
 from repro.mdhf.spec import Fragmentation
-from repro.sim.config import SimulationParameters, WorkloadParameters
+from repro.sim.config import (
+    ALLOCATION_SCHEME,
+    ARRIVAL_PROCESS,
+    FLAG,
+    NON_NEGATIVE_INT,
+    NON_NEGATIVE_REAL,
+    POSITIVE_INT,
+    POSITIVE_REAL,
+    RECORD_RETENTION,
+    TEXT,
+    Domain,
+    SimulationParameters,
+    WorkloadParameters,
+    check_domains,
+    knob,
+    optional,
+)
 
 #: Kinds of scenarios.
 KIND_SIMULATION = "simulation"  # RunSpecs executed on the event simulator
@@ -30,6 +46,7 @@ MODE_SIM = "sim"
 MODE_MULTI_USER = "multi_user"
 MODE_OPEN_SYSTEM = "open_system"
 MODE_ANALYTIC = "analytic"
+_RUN_MODES = (MODE_SIM, MODE_MULTI_USER, MODE_OPEN_SYSTEM, MODE_ANALYTIC)
 
 #: Event-count control used by the sweeps; <0.5% response-time effect
 #: (validated in tests/sim/test_simulator.py).
@@ -50,58 +67,59 @@ class RunSpec:
     """One point of a scenario matrix.
 
     Frozen and built only from primitives so it pickles cleanly into
-    ``multiprocessing`` workers and hashes canonically.
+    ``multiprocessing`` workers and hashes canonically.  Its fields
+    declare their domains with the :mod:`repro.sim.config` table.
     """
 
-    run_id: str
-    query: str
-    fragmentation: tuple[str, ...]
-    mode: str = MODE_SIM
+    run_id: str = knob(TEXT)
+    query: str = knob(TEXT)
+    fragmentation: tuple[str, ...] = knob(Domain("instance", cls=tuple))
+    mode: str = knob(Domain("choice", choices=_RUN_MODES), MODE_SIM)
     #: Free-form grouping tag (e.g. the fragmentation label of Figure 6).
-    label: str = ""
+    label: str = knob(TEXT, "")
 
     # --- schema scale -------------------------------------------------
-    schema: str = "apb1"       # "apb1" (paper scale) or "tiny"
-    channels: int = 15
-    density: float = 0.25
+    schema: str = knob(Domain("choice", choices=("apb1", "tiny")), "apb1")
+    channels: int = knob(POSITIVE_INT, 15)
+    density: float = knob(POSITIVE_REAL, 0.25)
 
     # --- hardware -----------------------------------------------------
-    n_disks: int = 100
-    n_nodes: int = 20
-    t: int = 4                 # concurrent subqueries per node
+    n_disks: int = knob(POSITIVE_INT, 100)
+    n_nodes: int = knob(POSITIVE_INT, 20)
+    t: int = knob(POSITIVE_INT, 4)  # concurrent subqueries per node
 
     # --- allocation / execution knobs --------------------------------
-    parallel_bitmap_io: bool = True
-    staggered_allocation: bool = True
-    allocation_scheme: str = "round_robin"
-    cluster_factor: int = 1
-    data_skew: float = 0.0
-    max_concurrent: int | None = None
-    io_coalesce: int = DEFAULT_IO_COALESCE
+    parallel_bitmap_io: bool = knob(FLAG, True)
+    staggered_allocation: bool = knob(FLAG, True)
+    allocation_scheme: str = knob(ALLOCATION_SCHEME, "round_robin")
+    cluster_factor: int = knob(POSITIVE_INT, 1)
+    data_skew: float = knob(NON_NEGATIVE_REAL, 0.0)
+    max_concurrent: int | None = knob(optional(POSITIVE_INT), None)
+    io_coalesce: int = knob(POSITIVE_INT, DEFAULT_IO_COALESCE)
 
     # --- beyond-paper degradations -----------------------------------
     #: Multiplier on every disk timing parameter; 2.0 models a disk
     #: subsystem running at half speed (failed spindles, rebuilds).
-    disk_degradation: float = 1.0
+    disk_degradation: float = knob(Domain("real", lo=1.0), 1.0)
 
     # --- multi-user / open-system sessions ---------------------------
-    streams: int = 1
-    queries_per_stream: int = 1
+    streams: int = knob(POSITIVE_INT, 1)
+    queries_per_stream: int = knob(POSITIVE_INT, 1)
     #: Seed stride between streams so the streams draw distinct query
     #: parameters (seed + stride * stream + query).
-    stream_seed_stride: int = 17
+    stream_seed_stride: int = knob(NON_NEGATIVE_INT, 17)
 
     # --- open-system mode (MODE_OPEN_SYSTEM only) --------------------
     #: Interarrival distribution: "poisson" | "fixed" | "bursty".
-    arrival_process: str = "poisson"
+    arrival_process: str = knob(ARRIVAL_PROCESS, "poisson")
     #: Offered load in arriving sessions per second.
-    arrival_rate_qps: float = 1.0
+    arrival_rate_qps: float = knob(POSITIVE_REAL, 1.0)
     #: Arrivals per batch for the bursty process.
-    burst_size: int = 4
+    burst_size: int = knob(POSITIVE_INT, 4)
     #: Admission-control MPL cap; None = admit everything immediately.
-    max_mpl: int | None = None
+    max_mpl: int | None = knob(optional(POSITIVE_INT), None)
     #: Mean exponential think time between a session's queries (hybrid).
-    think_time_s: float = 0.0
+    think_time_s: float = knob(NON_NEGATIVE_REAL, 0.0)
 
     #: Record retention for the run's SimulationResult: "full" keeps
     #: per-query records and per-stream rollups; "bounded" folds every
@@ -111,38 +129,12 @@ class RunSpec:
     #: Like the open-system fields, it entered the schema after goldens
     #: were committed: config_dict() includes it only at non-default
     #: values, so every pre-existing run point hashes exactly as before.
-    record_retention: str = "full"
+    record_retention: str = knob(RECORD_RETENTION, "full")
 
-    seed: int = 0
+    seed: int = knob(NON_NEGATIVE_INT, 0)
 
     def __post_init__(self) -> None:
-        if self.mode not in (
-            MODE_SIM, MODE_MULTI_USER, MODE_OPEN_SYSTEM, MODE_ANALYTIC
-        ):
-            raise ValueError(f"unknown run mode {self.mode!r}")
-        if self.schema not in ("apb1", "tiny"):
-            raise ValueError(f"unknown schema {self.schema!r}")
-        if self.mode in (MODE_MULTI_USER, MODE_OPEN_SYSTEM):
-            if self.streams < 1:
-                raise ValueError(f"{self.mode} runs need streams >= 1")
-            if self.queries_per_stream < 1:
-                raise ValueError(
-                    f"{self.mode} runs need queries_per_stream >= 1"
-                )
-        for name in ("n_disks", "n_nodes", "t"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)!r}"
-                )
-        # NaN passes a plain `< 1.0` guard and inf prices every seek
-        # as infinite; both would also enter config_hash.
-        if not 1.0 <= self.disk_degradation < float("inf"):
-            raise ValueError(
-                "disk_degradation must be finite and >= 1.0, "
-                f"got {self.disk_degradation!r}"
-            )
-        if not self.fragmentation:
-            raise ValueError("fragmentation must name at least one attribute")
+        check_domains(self)
         try:
             self.parsed_fragmentation()
         except ValueError as exc:
@@ -158,14 +150,6 @@ class RunSpec:
                     raise ValueError(
                         f"{name} requires mode={MODE_OPEN_SYSTEM!r}"
                     )
-        else:
-            # Constructing the WorkloadParameters validates every knob.
-            self.workload_params()
-        if self.record_retention not in ("full", "bounded"):
-            raise ValueError(
-                "record_retention must be 'full' or 'bounded', "
-                f"got {self.record_retention!r}"
-            )
         if (
             self.record_retention != "full"
             and self.mode not in (MODE_MULTI_USER, MODE_OPEN_SYSTEM)

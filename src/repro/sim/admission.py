@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.sim.config import POSITIVE_INT, optional
 from repro.sim.engine import Environment, Event
 
 
@@ -28,8 +29,7 @@ class AdmissionController:
     """
 
     def __init__(self, env: Environment, max_mpl: int | None = None):
-        if max_mpl is not None and max_mpl < 1:
-            raise ValueError("max_mpl must be >= 1 (or None for no cap)")
+        optional(POSITIVE_INT).check("AdmissionController", "max_mpl", max_mpl)
         self.env = env
         self.max_mpl = max_mpl
         self._waiting: deque[Event] = deque()

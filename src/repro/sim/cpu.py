@@ -11,6 +11,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import Any, Callable
 
+from repro.sim.config import POSITIVE_REAL
 from repro.sim.engine import Environment
 from repro.sim.resources import FifoServer
 
@@ -22,8 +23,7 @@ class ProcessingNode(FifoServer):
 
     def __init__(self, env: Environment, node_id: int, cpu_mips: float):
         super().__init__(env, name=f"node{node_id}")
-        if cpu_mips <= 0:
-            raise ValueError("cpu_mips must be positive")
+        POSITIVE_REAL.check("ProcessingNode", "cpu_mips", cpu_mips)
         self.node_id = node_id
         self.cpu_mips = cpu_mips
         self._per_second = cpu_mips * 1e6

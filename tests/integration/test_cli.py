@@ -1,8 +1,14 @@
 """Command-line interface tests (in-process via cli.main)."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
+from tests.properties.strategies import STANDARD
 
 
 class TestInfo:
@@ -158,11 +164,17 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["-d", "0"], "n_disks must be an integer >= 1, got 0"),
-            (["-p", "-3"], "n_nodes must be an integer >= 1, got -3"),
-            (["-t", "0"], "subqueries_per_node must be an integer >= 1"),
+            (["-d", "0"],
+             "HardwareParameters.n_disks must be an integer >= 1, got 0"),
+            (["-p", "-3"],
+             "HardwareParameters.n_nodes must be an integer >= 1, got -3"),
+            (["-t", "0"],
+             "HardwareParameters.subqueries_per_node must be an integer "
+             ">= 1, got 0"),
             (["--repeat", "0"], "--repeat must be >= 1, got 0"),
-            (["--io-coalesce", "0"], "io_coalesce must be >= 1"),
+            (["--io-coalesce", "0"],
+             "SimulationParameters.io_coalesce must be an integer >= 1, "
+             "got 0"),
         ],
     )
     def test_invalid_knobs_exit_2_naming_the_knob(
@@ -176,6 +188,32 @@ class TestSimulate:
         assert f"error: {message}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @STANDARD
+    @given(
+        knob=st.sampled_from([
+            ("-d", "HardwareParameters.n_disks"),
+            ("-p", "HardwareParameters.n_nodes"),
+            ("-t", "HardwareParameters.subqueries_per_node"),
+            ("--io-coalesce", "SimulationParameters.io_coalesce"),
+        ]),
+        value=st.integers(max_value=0),
+    )
+    def test_out_of_domain_knob_exits_2_with_one_error_line(
+        self, knob, value
+    ):
+        flag, name = knob
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([
+                "simulate", "1MONTH1GROUP", "-f", "time::month",
+                flag, str(value),
+            ])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            f"error: {name} must be an integer >= 1, got {value}\n"
+        )
 
     @pytest.mark.parametrize(
         "fragmentation, message",

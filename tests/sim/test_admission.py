@@ -68,3 +68,13 @@ class TestAdmission:
     def test_invalid_cap_rejected(self):
         with pytest.raises(ValueError):
             AdmissionController(Environment(), max_mpl=0)
+
+    @pytest.mark.parametrize("cap", [-1, 2.5, True, "4"])
+    def test_cap_outside_its_domain_rejected_naming_it(self, cap):
+        # Regression: 2.5 and True used to construct a controller.
+        with pytest.raises(ValueError) as exc:
+            AdmissionController(Environment(), cap)
+        assert str(exc.value) == (
+            "AdmissionController.max_mpl must be None or an integer >= 1, "
+            f"got {cap!r}"
+        )

@@ -84,7 +84,8 @@ class TestValidation:
         with pytest.raises(ValueError) as exc:
             HardwareParameters(**{field: value})
         assert str(exc.value) == (
-            f"{field} must be an integer >= 1, got {value!r}"
+            f"HardwareParameters.{field} must be an integer >= 1, "
+            f"got {value!r}"
         )
 
     @pytest.mark.parametrize(

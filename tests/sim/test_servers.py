@@ -273,6 +273,16 @@ class TestProcessingNode:
         with pytest.raises(ValueError):
             ProcessingNode(env, 0, cpu_mips=0)
 
+    @pytest.mark.parametrize("mips", [math.nan, math.inf, -1.0, True])
+    def test_mips_outside_its_domain_rejected_naming_it(self, mips):
+        # Regression: NaN passed the ``cpu_mips <= 0`` guard.
+        with pytest.raises(ValueError) as exc:
+            ProcessingNode(Environment(), 0, cpu_mips=mips)
+        assert str(exc.value) == (
+            "ProcessingNode.cpu_mips must be a finite real > 0, "
+            f"got {mips!r}"
+        )
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_compute_rejects_non_finite_or_negative_instructions(self, bad):
         node = ProcessingNode(Environment(), 3, cpu_mips=50.0)
